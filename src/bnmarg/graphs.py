@@ -10,6 +10,7 @@ assembled.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -25,6 +26,7 @@ class Dag:
     ----------
     node_ids:
         Sequence of distinct node identifiers; its order is canonical.
+        String ids are interned, so graphs over the same names share them.
     edges:
         Iterable of (parent, child) pairs.  Self loops, duplicate edges and
         unknown endpoints are rejected; a directed cycle raises CycleError
@@ -32,7 +34,9 @@ class Dag:
     """
 
     def __init__(self, node_ids: Sequence[NodeId], edges: Iterable[tuple] = ()):
-        self.node_ids = tuple(node_ids)
+        # a result that outlives its network (a report's node tuple) then
+        # holds pointers to shared names, not a copy of every name
+        self.node_ids = tuple(sys.intern(v) if type(v) is str else v for v in node_ids)
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ArgumentError("duplicate node ids in node list")
         self._index = {v: i for i, v in enumerate(self.node_ids)}

@@ -22,7 +22,6 @@ from scipy.special import logsumexp
 
 from .decompose import relevant_subgraph
 from .errors import ArgumentError, InternalConsistencyError
-from .junction import _family_table
 from .network import (
     CategoricalBN,
     log_joint_probability,
@@ -79,19 +78,44 @@ class ImportanceDistribution:
             if abs(float(p.sum()) - 1.0) > 1e-6:
                 raise ArgumentError(f"proposal for {v!r} does not sum to one")
 
+    def _by_cardinality(self):
+        """(rows into ``nodes``, stacked probability vectors) per cardinality."""
+        rows = {}
+        for i, v in enumerate(self.nodes):
+            rows.setdefault(len(self.probs[v]), []).append(i)
+        for idx in rows.values():
+            yield idx, np.array([self.probs[self.nodes[i]] for i in idx], dtype=float)
+
     def sample(self, rng: np.random.Generator, m: int) -> dict:
-        """m iid draws per node (inverse CDF), node order fixed."""
-        out = {}
-        for v in self.nodes:
-            cum = np.cumsum(np.asarray(self.probs[v], dtype=float))
-            u = rng.random(m)
-            out[v] = np.minimum((cum < u[:, None]).sum(axis=1), cum.size - 1)
-        return out
+        """m iid draws per node (inverse CDF), node order fixed.
+
+        Row i of one ``(len(nodes), m)`` uniform block drives node i, the same
+        stream as one ``rng.random(m)`` call per node in order.
+        """
+        u = rng.random((len(self.nodes), m))
+        draws = [None] * len(self.nodes)
+        for idx, p in self._by_cardinality():
+            cum = np.cumsum(p, axis=1)
+            u_c = u[idx]
+            # cum never decreases, so counting its first card-1 entries below
+            # u is the state index, capped at the last state
+            hit = np.zeros(u_c.shape, dtype=int)
+            for j in range(p.shape[1] - 1):
+                hit += cum[:, j, None] < u_c
+            for i, d in zip(idx, hit):
+                draws[i] = d
+        return dict(zip(self.nodes, draws))
 
     def log_prob(self, samples: Mapping) -> np.ndarray:
+        """Log density of each joint draw, summed over nodes in node order."""
+        terms = [None] * len(self.nodes)
+        for idx, p in self._by_cardinality():
+            picks = np.array([samples[self.nodes[i]] for i in idx])
+            for i, t in zip(idx, np.take_along_axis(np.log(p), picks, axis=1)):
+                terms[i] = t
         total = 0.0
-        for v in self.nodes:
-            total = total + np.log(np.asarray(self.probs[v], dtype=float))[samples[v]]
+        for t in terms:
+            total = total + t
         return np.asarray(total, dtype=float)
 
 
@@ -111,18 +135,29 @@ class ImportanceResult:
 
 
 def _reduced_factor(bn: CategoricalBN, v, evidence: Mapping):
-    """CPT of v with observed family members fixed; returns (free_vars, table)."""
-    family = bn.dag.sort(set(bn.dag.parents(v)) | {v})
-    table = _family_table(bn, v, family)
-    sel = []
-    free_vars = []
-    for u in family:
-        if u in evidence:
-            sel.append(int(evidence[u]))
-        else:
-            sel.append(slice(None))
-            free_vars.append(u)
-    return tuple(free_vars), np.asarray(table[tuple(sel)], dtype=float)
+    """CPT of v with observed family members fixed; returns (free_vars, table).
+
+    The table's axes follow the canonical order of the free family members.
+    """
+    dag = bn.dag
+    ps = dag.parents(v)
+    cards = bn.cardinalities
+    table = bn.cpts[v].reshape([cards[p] for p in ps] + [cards[v]])
+    table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in ps + (v,))]
+    free_ps = [p for p in ps if p not in evidence]
+    if v in evidence:
+        return tuple(free_ps), table
+    # parents are canonically sorted; v's axis moves to its canonical slot
+    at = sum(1 for p in free_ps if dag.index(p) < dag.index(v))
+    if at < len(free_ps):
+        table = np.moveaxis(table, -1, at)
+    return tuple(free_ps[:at]) + (v,) + tuple(free_ps[at:]), table
+
+
+def _normalized(rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """Each row divided by its sum; rows summing to zero become ``uniform``."""
+    s = rows.sum(axis=1, keepdims=True)
+    return np.divide(rows, s, out=uniform.copy(), where=s > 0)
 
 
 def loopy_bp(
@@ -137,13 +172,18 @@ def loopy_bp(
     One factor per node in ``factor_nodes`` (its evidence-clamped CPT), one
     variable per free node of the scope.  All messages start at one; each
     round recomputes every factor-to-variable message from the previous
-    round, then every variable-to-factor message from those, so the result
-    is independent of node order.  Runs up to ``cfg.lbp_iterations`` rounds
-    or until the largest belief change drops below ``cfg.lbp_tolerance``.
-    Beliefs are floored at
+    round, then every variable-to-factor message from those (the flooding
+    schedule), so the result is independent of node order.  Runs up to
+    ``cfg.lbp_iterations`` rounds or until the largest belief change drops
+    below ``cfg.lbp_tolerance``.  Beliefs are floored at
     ``cfg.belief_floor`` and renormalized, so the result is strictly
     positive.  On tree-shaped factor graphs the converged beliefs are the
     exact conditionals.
+
+    Messages live in one array per direction with a row per (factor,
+    variable) edge, zero-padded to the largest cardinality.  Factor tables
+    are stacked per distinct shape, so a round costs a few array operations
+    per shape and per variable degree rather than one per message.
     """
     dag = bn.dag
     scope = set(dag.node_ids) if nodes is None else set(nodes)
@@ -156,75 +196,82 @@ def loopy_bp(
     if not free:
         raise ArgumentError("no free nodes to form a proposal over")
 
-    factors = []  # (vars, table)
+    var_of = {v: i for i, v in enumerate(free)}
+    edge_var = []  # variable of each edge; a factor's edges are contiguous
+    shapes = {}  # table shape -> ([table], [edge ids by position])
     for v in dag.sort(factors_of):
         if not set(dag.parents(v)) <= scope:
             raise ArgumentError(f"family of factor node {v!r} reaches outside the scope")
         fvars, table = _reduced_factor(bn, v, evidence)
         if fvars:
-            factors.append((fvars, table))
+            tables, edges = shapes.setdefault(table.shape, ([], []))
+            tables.append(table)
+            edges.append(range(len(edge_var), len(edge_var) + len(fvars)))
+            edge_var.extend(var_of[u] for u in fvars)
+    groups = [(np.stack(t), np.array(e, dtype=np.intp)) for t, e in shapes.values()]
 
-    touching = {v: [] for v in free}
-    for fi, (fvars, _) in enumerate(factors):
-        for v in fvars:
-            touching[v].append(fi)
+    card = np.array([bn.cardinalities[v] for v in free])
+    width = int(card.max())
+    var_live = (np.arange(width) < card[:, None]).astype(float)
+    var_uniform = var_live / card[:, None]
+    edge_var = np.array(edge_var, dtype=np.intp)
+    edge_live = var_live[edge_var]
+    edge_uniform = var_uniform[edge_var]
 
-    cards = bn.cardinalities
-    uniform = {v: np.full(cards[v], 1.0 / cards[v]) for v in free}
-    vf = {}  # (v, fi) -> message
-    fv = {}  # (fi, v) -> message
-    for fi, (fvars, _) in enumerate(factors):
-        for v in fvars:
-            vf[(v, fi)] = np.ones(cards[v])
-            fv[(fi, v)] = np.ones(cards[v])
+    # each variable's edges in factor order, grouped by the variable's degree
+    degree = np.bincount(edge_var, minlength=len(free))
+    by_var = np.argsort(edge_var, kind="stable")
+    first = np.cumsum(degree) - degree
+    incident = []  # (variables of degree d, their (count, d) edge ids)
+    for d in np.unique(degree[degree > 0]).tolist():
+        vs = np.flatnonzero(degree == d)
+        incident.append((vs, by_var[first[vs, None] + np.arange(d)]))
 
-    def current_beliefs(fv_msgs):
-        out = {}
-        for v in free:
-            b = np.ones(cards[v])
-            for fi in touching[v]:
-                b = b * fv_msgs[(fi, v)]
-            s = float(b.sum())
-            out[v] = b / s if s > 0 else uniform[v].copy()
-        return out
-
-    beliefs = current_beliefs(fv)
+    vf = edge_live  # variable-to-factor messages start at one
+    beliefs = var_uniform
     for _ in range(cfg.lbp_iterations):
-        new_fv = {}
-        for fi, (fvars, table) in enumerate(factors):
-            for k, v in enumerate(fvars):
-                t = table
-                for k2, u in enumerate(fvars):
-                    if u == v:
-                        continue
-                    shape = [1] * table.ndim
-                    shape[k2] = cards[u]
-                    t = t * vf[(u, fi)].reshape(shape)
-                axes = tuple(k2 for k2 in range(table.ndim) if k2 != k)
-                msg = t.sum(axis=axes) if axes else t.copy()
-                s = float(msg.sum())
-                new_fv[(fi, v)] = msg / s if s > 0 else uniform[v].copy()
-        new_vf = {}
-        for v in free:
-            for fi in touching[v]:
-                m = np.ones(cards[v])
-                for fj in touching[v]:
-                    if fj != fi:
-                        m = m * new_fv[(fj, v)]
-                s = float(m.sum())
-                new_vf[(v, fi)] = m / s if s > 0 else uniform[v].copy()
-        fv, vf = new_fv, new_vf
-        nxt = current_beliefs(fv)
-        delta = max(float(np.max(np.abs(nxt[v] - beliefs[v]))) for v in free)
+        fv = np.zeros_like(edge_live)
+        for tables, edges in groups:
+            ndim = edges.shape[1]
+            incoming = []
+            for k in range(ndim):
+                shape = [len(edges)] + [1] * ndim
+                shape[1 + k] = tables.shape[1 + k]
+                incoming.append(vf[edges[:, k], : shape[1 + k]].reshape(shape))
+            for k in range(ndim):
+                t = tables
+                for k2 in range(ndim):
+                    if k2 != k:
+                        t = t * incoming[k2]
+                axes = tuple(1 + k2 for k2 in range(ndim) if k2 != k)
+                fv[edges[:, k], : tables.shape[1 + k]] = t.sum(axis=axes) if axes else t
+        fv = _normalized(fv, edge_uniform)
+
+        vf = np.zeros_like(edge_live)
+        raw = var_live.copy()  # a variable touching no factor keeps a flat belief
+        for vs, edges in incident:
+            msgs = fv[edges]
+            ones = var_live[vs, None]
+            fwd = np.cumprod(msgs, axis=1)
+            # message to factor i: the product of the others, multiplied left
+            # to right as a per-message loop would, so beliefs match it bit
+            # for bit; like that loop, the work is quadratic in the degree
+            excl = np.concatenate([ones, fwd[:, :-1]], axis=1)
+            for j in range(1, msgs.shape[1]):
+                excl[:, :j] *= msgs[:, j, None]
+            vf[edges] = excl
+            raw[vs] = fwd[:, -1]
+        vf = _normalized(vf, edge_uniform)
+        nxt = _normalized(raw, var_uniform)
+        delta = float(np.max(np.abs(nxt - beliefs)))
         beliefs = nxt
         if delta < cfg.lbp_tolerance:
             break
 
-    probs = {}
-    for v in free:
-        b = np.maximum(beliefs[v], cfg.belief_floor)
-        probs[v] = b / b.sum()
-    return ImportanceDistribution(nodes=dag.sort(free), probs=probs)
+    floored = np.maximum(beliefs, cfg.belief_floor) * var_live
+    floored = floored / floored.sum(axis=1, keepdims=True)
+    probs = {v: floored[i, : card[i]] for i, v in enumerate(free)}
+    return ImportanceDistribution(nodes=tuple(free), probs=probs)
 
 
 def _is_summary(logw: np.ndarray) -> tuple[float, float]:
@@ -284,14 +331,10 @@ def importance_estimate(
         raise ArgumentError("proposal does not cover the subset")
     rng = np.random.default_rng(int(cfg.seed))
     m = cfg.sample_count
-    samples = ImportanceDistribution(nodes=sub, probs={v: q.probs[v] for v in sub}).sample(
-        rng, m
-    )
+    q_sub = ImportanceDistribution(nodes=sub, probs={v: q.probs[v] for v in sub})
+    samples = q_sub.sample(rng, m)
     logw = _log_weight_terms(bn, set(sub) | set(bounds.e_ch), samples, evidence, m)
-    logq = np.zeros(m)
-    for v in sub:
-        logq = logq + np.log(np.asarray(q.probs[v], dtype=float))[samples[v]]
-    log_est, rel = _is_summary(logw - logq)
+    log_est, rel = _is_summary(logw - q_sub.log_prob(samples))
     return ImportanceResult(
         estimate=math.exp(log_est),
         log_estimate=log_est,

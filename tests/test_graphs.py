@@ -35,6 +35,16 @@ def test_dag_construction_errors():
         Dag(("A", "B"), [("A", "B"), ("A", "B")])
 
 
+def test_string_node_ids_are_shared_across_graphs():
+    # names built at run time are distinct objects; two graphs over equal
+    # names must hold the same objects, other hashables are kept as given
+    a = Dag(tuple(f"X{i}" for i in range(3)), [("X0", "X1")])
+    b = Dag(tuple(f"X{i}" for i in range(3)), [])
+    assert all(u is v for u, v in zip(a.node_ids, b.node_ids))
+    key = (1, 2)
+    assert Dag((key, 3)).node_ids[0] is key
+
+
 def test_cycle_detection_names_a_cycle():
     with pytest.raises(CycleError) as err:
         Dag(("A", "B", "C"), [("A", "B"), ("B", "C"), ("C", "A")])

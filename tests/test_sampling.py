@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bnmarg.decompose import decompose, subset_boundaries
+from bnmarg.decompose import decompose, relevant_subgraph, subset_boundaries
+from bnmarg.engine import SgsConfig, marginal
 from bnmarg.errors import ArgumentError
 from bnmarg.graphs import Dag
+from bnmarg.junction import _family_table
 from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability
 from bnmarg.sampling import (
     ImportanceDistribution,
@@ -38,6 +40,182 @@ def _polytree_bn(rng, n):
     return CategoricalBN(dag, cards, cpts)
 
 
+def _reference_reduced_factor(bn, v, evidence):
+    family = bn.dag.sort(set(bn.dag.parents(v)) | {v})
+    table = _family_table(bn, v, family)
+    sel = []
+    free_vars = []
+    for u in family:
+        if u in evidence:
+            sel.append(int(evidence[u]))
+        else:
+            sel.append(slice(None))
+            free_vars.append(u)
+    return tuple(free_vars), np.asarray(table[tuple(sel)], dtype=float)
+
+
+def _reference_loopy_bp(bn, evidence, cfg, nodes=None, factor_nodes=None):
+    """Flooding sum-product with one small array per message, kept as an
+    independent route to the beliefs ``loopy_bp`` computes on stacked arrays.
+    Returns (nodes, {node: floored belief})."""
+    dag = bn.dag
+    scope = set(dag.node_ids) if nodes is None else set(nodes)
+    factors_of = set(scope) if factor_nodes is None else set(factor_nodes)
+    free = [v for v in dag.node_ids if v in scope and v not in evidence]
+    factors = []
+    for v in dag.sort(factors_of):
+        fvars, table = _reference_reduced_factor(bn, v, evidence)
+        if fvars:
+            factors.append((fvars, table))
+    touching = {v: [] for v in free}
+    for fi, (fvars, _) in enumerate(factors):
+        for v in fvars:
+            touching[v].append(fi)
+
+    cards = bn.cardinalities
+    uniform = {v: np.full(cards[v], 1.0 / cards[v]) for v in free}
+    edges = [(fi, v) for fi, (fvars, _) in enumerate(factors) for v in fvars]
+    vf = {(v, fi): np.ones(cards[v]) for fi, v in edges}
+    fv = {(fi, v): np.ones(cards[v]) for fi, v in edges}
+
+    def current_beliefs(fv_msgs):
+        out = {}
+        for v in free:
+            b = np.ones(cards[v])
+            for fi in touching[v]:
+                b = b * fv_msgs[(fi, v)]
+            s = float(b.sum())
+            out[v] = b / s if s > 0 else uniform[v].copy()
+        return out
+
+    beliefs = current_beliefs(fv)
+    for _ in range(cfg.lbp_iterations):
+        new_fv = {}
+        for fi, (fvars, table) in enumerate(factors):
+            for k, v in enumerate(fvars):
+                t = table
+                for k2, u in enumerate(fvars):
+                    if u == v:
+                        continue
+                    shape = [1] * table.ndim
+                    shape[k2] = cards[u]
+                    t = t * vf[(u, fi)].reshape(shape)
+                axes = tuple(k2 for k2 in range(table.ndim) if k2 != k)
+                msg = t.sum(axis=axes) if axes else t.copy()
+                s = float(msg.sum())
+                new_fv[(fi, v)] = msg / s if s > 0 else uniform[v].copy()
+        new_vf = {}
+        for v in free:
+            for fi in touching[v]:
+                m = np.ones(cards[v])
+                for fj in touching[v]:
+                    if fj != fi:
+                        m = m * new_fv[(fj, v)]
+                s = float(m.sum())
+                new_vf[(v, fi)] = m / s if s > 0 else uniform[v].copy()
+        fv, vf = new_fv, new_vf
+        nxt = current_beliefs(fv)
+        delta = max(float(np.max(np.abs(nxt[v] - beliefs[v]))) for v in free)
+        beliefs = nxt
+        if delta < cfg.lbp_tolerance:
+            break
+
+    probs = {}
+    for v in free:
+        b = np.maximum(beliefs[v], cfg.belief_floor)
+        probs[v] = b / b.sum()
+    return tuple(free), probs
+
+
+def _sparse_bn(rng, n):
+    """Random network with cardinalities 2-5, about 40 % zero CPT entries and
+    some deterministic rows."""
+    bn = rand_bn(rng, n, 0.35, cards=(2, 3, 4, 5))
+    cpts = {}
+    for v in bn.node_ids:
+        t = np.array(bn.cpts[v])
+        t[rng.random(t.shape) < 0.4] = 0.0
+        for r in range(t.shape[0]):
+            if t[r].sum() == 0.0 or rng.random() < 0.1:
+                t[r] = 0.0
+                t[r, rng.integers(t.shape[1])] = 1.0
+        cpts[v] = t / t.sum(axis=1, keepdims=True)
+    return CategoricalBN(bn.dag, bn.cardinalities, cpts)
+
+
+def _bp_scopes(bn, e):
+    """The whole network, then every subset scope as the engine passes it."""
+    yield bn, e, None, None
+    rel = relevant_subgraph(bn, e)
+    dec = decompose(bn, e)
+    for sub, b in zip(dec.subsets, dec.boundaries):
+        sub_e = {v: e[v] for v in b.e_mb}
+        yield rel, sub_e, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch)
+
+
+def test_loopy_bp_matches_reference_message_loop():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for trial in range(80):
+        bn = _sparse_bn(rng, int(rng.integers(3, 12)))
+        n = len(bn.node_ids)
+        count = (0, 1, max(n - 2, 1), n - 1)[trial % 4]
+        e = rand_evidence(rng, bn, count)
+        for net, ev, nodes, factors in _bp_scopes(bn, e):
+            for iters in (1, 5, 50):
+                cfg = SamplerConfig(sample_count=1, lbp_iterations=iters, lbp_tolerance=1e-12)
+                want_nodes, want = _reference_loopy_bp(net, ev, cfg, nodes, factors)
+                q = loopy_bp(net, ev, cfg, nodes, factors)
+                assert q.nodes == want_nodes
+                for v in q.nodes:
+                    np.testing.assert_allclose(q.probs[v], want[v], rtol=0, atol=1e-12)
+                checked += 1
+    assert checked > 300
+
+
+# log values of ("lbp-is", "sgs" with n_max=0) recorded before loopy_bp and
+# ImportanceDistribution.sample were vectorized; sampled paths must keep
+# making the same draws for the same seed
+SAME_DRAW_LOG_VALUES = (
+    (-1.3127576335822706, -1.3127576335822706),
+    (-6.998512444688629, -6.941525162997733),
+    (-0.0902479119648963, -0.0902479119648963),
+    (-2.7945512688973966, -2.7939436424575828),
+    (-1.3910369289731892, -1.3782645715885067),
+    (-4.487062829763732, -4.474721322891299),
+    (-2.8666693126466445, -2.893236247529897),
+    (-7.43685111525814, -7.436851115258139),
+    (-2.40926134628161, -2.363788916049261),
+    (-1.0148604295718082, -1.0344278521815342),
+    (-4.104537872228462, -4.1150034502746005),
+    (-2.1020741922478643, -2.114124662304331),
+    (-5.727337296394247, -5.727337296394247),
+    (-4.387373743166137, -4.387373743166137),
+    (-2.070373495640164, -2.0703734956401636),
+    (-2.9461117261284464, -2.839385175583941),
+    (-1.232810558860333, -1.232810558860333),
+    (-5.54273943179704, -5.3550136889852755),
+    (-2.3209122116045013, -2.36240380562433),
+    (-1.298043021632171, -1.2950892823033326),
+)
+
+
+def _same_draw_case(i):
+    rng = np.random.default_rng(1000 + i)
+    bn = rand_bn(rng, int(rng.integers(6, 13)), 0.35, cards=(2, 3, 4, 5))
+    e = rand_evidence(rng, bn, int(rng.integers(1, 5)))
+    return bn, e
+
+
+@pytest.mark.parametrize("i", range(len(SAME_DRAW_LOG_VALUES)))
+def test_sampled_paths_make_the_same_draws(i):
+    bn, e = _same_draw_case(i)
+    cfg = SgsConfig(n_max=0, sampler=SamplerConfig(sample_count=300, seed=i))
+    want_lbp_is, want_sgs = SAME_DRAW_LOG_VALUES[i]
+    assert marginal(bn, e, "lbp-is", cfg).log_value == pytest.approx(want_lbp_is, rel=1e-12)
+    assert marginal(bn, e, "sgs", cfg).log_value == pytest.approx(want_sgs, rel=1e-12)
+
+
 def test_sampler_config_validation():
     with pytest.raises(ArgumentError):
         SamplerConfig(sample_count=0)
@@ -66,6 +244,30 @@ def test_importance_distribution_validation():
     assert abs(draws.mean() - 0.75) < 0.03
     lp = q.log_prob({"a": np.array([0, 1])})
     assert lp == pytest.approx([math.log(0.25), math.log(0.75)])
+
+
+def test_sample_and_log_prob_match_per_node_draws():
+    # one rng.random(m) per node in order, inverse CDF, log terms added in
+    # node order: the batched draws and log densities must equal this exactly
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        nodes = tuple(f"v{i}" for i in range(int(rng.integers(1, 12))))
+        probs = {}
+        for v in nodes:
+            p = rng.random(int(rng.integers(2, 6))) + 1e-9
+            probs[v] = p / p.sum()
+        q = ImportanceDistribution(nodes=nodes, probs=probs)
+        m = int(rng.integers(1, 300))
+        seed = int(rng.integers(1 << 30))
+        got = q.sample(np.random.default_rng(seed), m)
+        ref_rng = np.random.default_rng(seed)
+        total = 0.0
+        for v in nodes:
+            cum = np.cumsum(probs[v])
+            want = np.minimum((cum < ref_rng.random(m)[:, None]).sum(axis=1), cum.size - 1)
+            np.testing.assert_array_equal(got[v], want)
+            total = total + np.log(probs[v])[want]
+        np.testing.assert_array_equal(q.log_prob(got), total)
 
 
 def test_lbp_exact_on_polytrees():
