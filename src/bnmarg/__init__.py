@@ -32,7 +32,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graphs import Dag, UndirectedGraph, d_separated, markov_blanket, moralize
-from .junction import build_junction_tree, subset_marginal_exact
+from .junction import build_junction_tree
 from .netformat import parse_dataset, parse_network, serialize_dataset, serialize_network
 from .network import (
     CategoricalBN,
@@ -44,7 +44,7 @@ from .network import (
 from .randnet import GenSpec, gen_cpts, gen_dag, gen_network, nrmse, pick_evidence
 from .bench import BenchResult, BenchRow, run_benchmark
 from .classify import PartialRecord, classify, classify_drop_missing, roc_auc
-from .sampling import ImportanceDistribution, SamplerConfig, gibbs_estimate, lbp_is_estimate, loopy_bp
+from .sampling import ImportanceDistribution, SamplerConfig, loopy_bp
 
 __version__ = "0.1.0"
 
@@ -85,8 +85,6 @@ __all__ = [
     "gen_cpts",
     "gen_dag",
     "gen_network",
-    "gibbs_estimate",
-    "lbp_is_estimate",
     "loopy_bp",
     "marginal",
     "marginal_sgs",
@@ -100,7 +98,6 @@ __all__ = [
     "sample_forward",
     "serialize_dataset",
     "serialize_network",
-    "subset_marginal_exact",
     "validate",
     "validate_evidence",
 ]

@@ -30,8 +30,8 @@ import numpy as np
 
 from .engine import METHODS, SgsConfig, canonical_method, marginal
 from .errors import CapacityError, DataFormatError
-from .junction import DEFAULT_TABLE_CAP, log_full_junction_marginal
-from .network import log_enumerate_marginal
+from .junction import DEFAULT_TABLE_CAP
+from .network import derive_seed, log_enumerate_marginal
 from .randnet import GenSpec, gen_network, nrmse, pick_evidence
 from .sampling import SamplerConfig
 
@@ -73,14 +73,9 @@ class BenchResult:
 
 def _reference_log(bn, evidence, table_cap: int) -> float:
     try:
-        return log_full_junction_marginal(bn, evidence, table_cap)
+        return marginal(bn, evidence, "jt", SgsConfig(table_cap=table_cap)).log_value
     except CapacityError:
         return log_enumerate_marginal(bn, evidence)
-
-
-def _rep_seed(spec_seed: int, method_index: int, budget: int, rep: int) -> int:
-    ss = np.random.SeedSequence(spec_seed, spawn_key=(3, method_index, budget, rep))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def run_benchmark(
@@ -103,10 +98,7 @@ def run_benchmark(
     rejected = []
     for spec in specs:
         bn = gen_network(spec)
-        ev_seed = int(
-            np.random.SeedSequence(spec.seed, spawn_key=(2,)).generate_state(1, np.uint64)[0]
-        )
-        evidence = pick_evidence(bn, spec.evidence_fraction, ev_seed)
+        evidence = pick_evidence(bn, spec.evidence_fraction, derive_seed(spec.seed, 2))
         try:
             truth = math.exp(_reference_log(bn, evidence, table_cap))
         except CapacityError as exc:
@@ -130,7 +122,7 @@ def run_benchmark(
                             n_max=n_max,
                             sampler=SamplerConfig(
                                 sample_count=budget,
-                                seed=_rep_seed(spec.seed, mi, budget, rep),
+                                seed=derive_seed(spec.seed, 3, mi, budget, rep),
                             ),
                             table_cap=table_cap,
                         )
@@ -158,85 +150,35 @@ def run_benchmark(
     return BenchResult(rows=tuple(rows), rejected=tuple(rejected))
 
 
+def _row_fields(r: BenchRow) -> list:
+    """The CSV_HEADER fields of one row as text; floats keep full precision."""
+    return [
+        r.family,
+        str(r.n),
+        str(r.categories),
+        repr(float(r.evidence_fraction)),
+        repr(float(r.mb_size)),
+        r.method,
+        str(r.budget),
+        repr(float(r.wall_time_ms)),
+        repr(float(r.nrmse)),
+        str(r.repetitions),
+    ]
+
+
 def rows_to_csv(rows: Iterable[BenchRow]) -> str:
     """Serialize rows; floats keep full precision so parsing them back is exact."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow(
-            [
-                r.family,
-                r.n,
-                r.categories,
-                repr(float(r.evidence_fraction)),
-                repr(float(r.mb_size)),
-                r.method,
-                r.budget,
-                repr(float(r.wall_time_ms)),
-                repr(float(r.nrmse)),
-                r.repetitions,
-            ]
-        )
+    w.writerows(_row_fields(r) for r in rows)
     return out.getvalue()
-
-
-def rows_from_csv(text: str):
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty benchmark table") from None
-    if tuple(header) != CSV_HEADER:
-        raise DataFormatError(
-            f"unexpected benchmark header {header!r}, expected {list(CSV_HEADER)}"
-        )
-    rows = []
-    for ln, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(CSV_HEADER):
-            raise DataFormatError(f"line {ln}: expected {len(CSV_HEADER)} fields, got {len(rec)}")
-        try:
-            rows.append(
-                BenchRow(
-                    family=rec[0],
-                    n=int(rec[1]),
-                    categories=int(rec[2]),
-                    evidence_fraction=float(rec[3]),
-                    mb_size=float(rec[4]),
-                    method=rec[5],
-                    budget=int(rec[6]),
-                    wall_time_ms=float(rec[7]),
-                    nrmse=float(rec[8]),
-                    repetitions=int(rec[9]),
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"line {ln}: {exc}") from None
-    return tuple(rows)
 
 
 def rows_to_gnuplot(rows: Iterable[BenchRow]) -> str:
     """Tab-separated variant with a commented header line."""
     lines = ["# " + "\t".join(CSV_HEADER)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                [
-                    r.family,
-                    str(r.n),
-                    str(r.categories),
-                    repr(float(r.evidence_fraction)),
-                    repr(float(r.mb_size)),
-                    r.method,
-                    str(r.budget),
-                    repr(float(r.wall_time_ms)),
-                    repr(float(r.nrmse)),
-                    str(r.repetitions),
-                ]
-            )
-        )
+    lines.extend("\t".join(_row_fields(r)) for r in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ scores complete-data joints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from scipy.special import logsumexp
@@ -130,16 +130,11 @@ def classify(
     return _posteriors(scores)
 
 
-def classify_drop_missing(
-    record: PartialRecord,
-    models_reduced: Sequence[tuple],
-    cfg: Optional[SgsConfig] = None,
-) -> ClassificationResult:
+def classify_drop_missing(record: PartialRecord, models_reduced: Sequence[tuple]) -> ClassificationResult:
     """Baseline: complete-data joints on models restricted to observed variables.
 
     Every variable of every reduced model must be observed by the record; the
     score is then a plain joint probability, no marginalization involved.
-    ``cfg`` is accepted for signature symmetry and not consulted.
     """
     if not models_reduced:
         raise ClassificationError("no candidate models")

@@ -215,7 +215,7 @@ def _cmd_classify(args) -> int:
     for i, record in enumerate(records):
         try:
             if args.drop_missing:
-                res = classify_drop_missing(record, models, cfg)
+                res = classify_drop_missing(record, models)
             else:
                 res = classify(record, models, cfg)
         except ClassificationError as exc:

@@ -40,19 +40,6 @@ class SubsetDecomposition:
     leftover_evidence: tuple
 
 
-def irrelevant_nodes(dag: Dag, e: Iterable) -> tuple:
-    """Nodes whose removal cannot change the marginal of e.
-
-    A node is irrelevant when neither it nor any of its descendants is an
-    evidence node; equivalently, everything outside e and its ancestors.
-    """
-    ev = set(e)
-    for v in ev:
-        dag.index(v)
-    keep = ev | set(dag.ancestors_of_set(ev))
-    return dag.sort(v for v in dag.node_ids if v not in keep)
-
-
 def relevant_subgraph(bn: CategoricalBN, e: Iterable) -> CategoricalBN:
     """Restriction of the network to e and its ancestors.
 

@@ -22,25 +22,9 @@ import numpy as np
 
 from .decompose import decompose, relevant_subgraph
 from .errors import ArgumentError, CapacityError, InternalConsistencyError
-from .junction import (
-    DEFAULT_TABLE_CAP,
-    build_junction_tree,
-    incorporate_evidence,
-    log_full_junction_marginal,
-    log_tree_sum,
-)
-from .network import (
-    CategoricalBN,
-    log_enumerate_marginal,
-    validate_evidence,
-)
-from .sampling import (
-    SamplerConfig,
-    _log_gibbs,
-    _log_lbp_is,
-    importance_estimate,
-    loopy_bp,
-)
+from .junction import DEFAULT_TABLE_CAP, build_junction_tree, incorporate_evidence, log_tree_sum
+from .network import CategoricalBN, derive_seed, log_enumerate_marginal, validate_evidence
+from .sampling import SamplerConfig, gibbs_proposal, importance_estimate, loopy_bp
 
 METHODS = ("sgs", "jt", "lbp-is", "gs", "enum")
 _METHOD_ALIASES = {"jt_full": "jt", "lbp_is": "lbp-is", "gibbs": "gs"}
@@ -141,10 +125,22 @@ def evidence_only_factor(bn: CategoricalBN, e_prime, evidence: Mapping) -> float
     return total
 
 
-def _subset_seed(master: int, index: int) -> int:
-    """Stable per-subset stream seed; independent of processing order."""
-    ss = np.random.SeedSequence(entropy=int(master), spawn_key=(int(index),))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+def _log_exact(bn: CategoricalBN, scope, factors, values: Mapping, ones, table_cap: int) -> float:
+    """Exact solver: log of the sum over the free nodes of ``scope`` of the
+    product of the ``factors``' CPTs, with ``values`` fixed and the CPTs of
+    ``ones`` left out (they contribute the constant one)."""
+    jt = build_junction_tree(bn, scope, factors, table_cap)
+    return log_tree_sum(incorporate_evidence(jt, values, ones))
+
+
+def _sampled_report(
+    nodes: tuple, bn: CategoricalBN, q, factors, values: Mapping, rng, m: int
+) -> SubsetReport:
+    """Importance estimate of the sum :func:`_log_exact` computes, from ``m``
+    draws of proposal ``q`` (loopy-BP beliefs or Gibbs frequencies) made
+    with ``rng``."""
+    res = importance_estimate(bn, q, factors, values, rng, m)
+    return SubsetReport(nodes, "approx", res.log_estimate, res.sample_count, res.weight_variance)
 
 
 def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] = None) -> MarginalEstimate:
@@ -161,69 +157,37 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     rel = relevant_subgraph(bn, set(evidence))
     override = dict(cfg.method_override or {})
 
-    # plan: decide exact/approx per subset, keeping any junction tree we
-    # already built.  The plan is fixed before any sampling so that budget
-    # split and per-subset seeds do not depend on execution order.
-    plans = []  # (method, prebuilt tree or None)
+    # exact subsets are solved while planning; the sampled set, and with it
+    # the budget split and the per-subset seeds, is fixed before any sampling
+    reports = [None] * len(dec.subsets)
+    sampled = []
     for i, (sub, b) in enumerate(zip(dec.subsets, dec.boundaries)):
-        forced = override.get(i)
-        want_exact = forced == "exact" or (forced is None and len(sub) < cfg.n_max)
-        if not want_exact:
-            plans.append(("approx", None))
-            continue
         scope = set(sub) | set(b.e_mb)
         factors = set(sub) | set(b.e_ch)
-        try:
-            jt = build_junction_tree(rel, scope, factors, cfg.table_cap)
-        except CapacityError:
-            if forced == "exact":
-                raise
-            plans.append(("approx", None))
-            continue
-        plans.append(("exact", jt))
+        values = {v: evidence[v] for v in b.e_mb}
+        forced = override.get(i)
+        if forced == "exact" or (forced is None and len(sub) < cfg.n_max):
+            ones = [v for v in b.e_mb if v not in factors]
+            try:
+                log_f = _log_exact(rel, scope, factors, values, ones, cfg.table_cap)
+            except CapacityError:
+                if forced == "exact":
+                    raise
+            else:
+                reports[i] = SubsetReport(nodes=sub, method="exact", log_factor=log_f)
+                continue
+        sampled.append((i, sub, scope, factors, values))
 
-    sampled = [i for i, (m, _) in enumerate(plans) if m == "approx"]
-    budget = {}
-    if sampled:
-        total_size = sum(len(dec.subsets[i]) for i in sampled)
-        for i in sampled:
-            share = cfg.sampler.sample_count * len(dec.subsets[i]) / total_size
-            budget[i] = max(1, int(round(share)))
+    total_size = sum(len(sub) for _, sub, _, _, _ in sampled)
+    for i, sub, scope, factors, values in sampled:
+        m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total_size)))
+        rng = np.random.default_rng(derive_seed(cfg.sampler.seed, i))
+        q = loopy_bp(rel, values, cfg.sampler, nodes=scope, factor_nodes=factors)
+        reports[i] = _sampled_report(sub, rel, q, factors, values, rng, m)
 
-    reports = []
     log_total = 0.0
-    for i, (sub, b) in enumerate(zip(dec.subsets, dec.boundaries)):
-        method, jt = plans[i]
-        if method == "exact":
-            values = {v: evidence[v] for v in b.e_mb}
-            ones = [v for v in b.e_mb if v not in set(b.e_ch)]
-            log_f = log_tree_sum(incorporate_evidence(jt, values, ones))
-            reports.append(SubsetReport(nodes=sub, method="exact", log_factor=log_f))
-        else:
-            scope = set(sub) | set(b.e_mb)
-            factors = set(sub) | set(b.e_ch)
-            sub_cfg = SamplerConfig(
-                sample_count=budget[i],
-                lbp_iterations=cfg.sampler.lbp_iterations,
-                lbp_tolerance=cfg.sampler.lbp_tolerance,
-                seed=_subset_seed(cfg.sampler.seed, i),
-                belief_floor=cfg.sampler.belief_floor,
-            )
-            sub_evidence = {v: evidence[v] for v in b.e_mb}
-            q = loopy_bp(rel, sub_evidence, sub_cfg, nodes=scope, factor_nodes=factors)
-            res = importance_estimate(rel, sub, b, sub_evidence, q, sub_cfg)
-            log_f = res.log_estimate
-            reports.append(
-                SubsetReport(
-                    nodes=sub,
-                    method="approx",
-                    log_factor=log_f,
-                    sample_count=res.sample_count,
-                    weight_variance=res.weight_variance,
-                )
-            )
-        log_total += log_f
-
+    for r in reports:  # subset order, so the sum does not depend on solving order
+        log_total += r.log_factor
     leftover_log = evidence_only_factor(rel, dec.leftover_evidence, evidence)
     return MarginalEstimate(
         log_value=leftover_log + log_total,
@@ -231,6 +195,24 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
         per_subset=tuple(reports),
         leftover_log=leftover_log,
     )
+
+
+def _whole_graph_sampled(
+    bn: CategoricalBN, evidence: Mapping, free: tuple, name: str, sampler: SamplerConfig
+) -> SubsetReport:
+    """``lbp-is`` on the relevant subgraph, or ``gs`` on the whole network,
+    as one importance estimate with every node of that network as a factor."""
+    if not evidence:
+        return SubsetReport(free, "approx", 0.0, 0, 0.0)
+    net = relevant_subgraph(bn, set(evidence)) if name == "lbp-is" else bn
+    if all(v in evidence for v in net.node_ids):
+        return SubsetReport(free, "approx", evidence_only_factor(net, net.node_ids, evidence), 0, 0.0)
+    rng = np.random.default_rng(int(sampler.seed))
+    if name == "lbp-is":
+        q = loopy_bp(net, evidence, sampler)
+    else:
+        q = gibbs_proposal(net, evidence, sampler, rng)  # the weights continue its stream
+    return _sampled_report(free, net, q, net.node_ids, evidence, rng, sampler.sample_count)
 
 
 def marginal(
@@ -241,10 +223,12 @@ def marginal(
 ) -> MarginalEstimate:
     """One entry point for every estimator, returning a uniform result shape.
 
-    Methods: ``sgs`` (the decomposing estimator), ``jt`` (full junction
-    tree), ``lbp-is`` (belief-propagation importance sampling on the relevant
-    subgraph), ``gs`` (Gibbs-frequency proposal baseline), ``enum`` (direct
-    summation; capped).
+    Methods: ``sgs`` (the decomposing estimator), ``jt`` (one junction tree
+    over the whole network), ``lbp-is`` (belief-propagation importance
+    sampling on the relevant subgraph), ``gs`` (Gibbs-frequency proposal
+    baseline), ``enum`` (direct summation; capped).  ``jt`` and ``sgs`` share
+    the exact solver; ``lbp-is``, ``gs`` and ``sgs`` share the importance
+    estimate.
     """
     cfg = cfg or SgsConfig()
     name = canonical_method(method)
@@ -255,21 +239,10 @@ def marginal(
 
     free = tuple(v for v in bn.node_ids if v not in evidence)
     if name == "jt":
-        log_v = log_full_junction_marginal(bn, evidence, cfg.table_cap)
+        log_v = _log_exact(bn, bn.node_ids, bn.node_ids, evidence, (), cfg.table_cap)
         report = SubsetReport(nodes=free, method="exact", log_factor=log_v)
-        return MarginalEstimate(log_value=log_v, method="jt", per_subset=(report,), leftover_log=0.0)
-    if name == "enum":
-        log_v = log_enumerate_marginal(bn, evidence)
-        report = SubsetReport(nodes=free, method="exact", log_factor=log_v)
-        return MarginalEstimate(log_value=log_v, method="enum", per_subset=(report,), leftover_log=0.0)
-    if name == "lbp-is":
-        log_v, var, m = _log_lbp_is(bn, evidence, cfg.sampler)
-        report = SubsetReport(
-            nodes=free, method="approx", log_factor=log_v, sample_count=m, weight_variance=var
-        )
-        return MarginalEstimate(log_value=log_v, method="lbp-is", per_subset=(report,), leftover_log=0.0)
-    log_v, var, m = _log_gibbs(bn, evidence, cfg.sampler, burn_in=100)
-    report = SubsetReport(
-        nodes=free, method="approx", log_factor=log_v, sample_count=m, weight_variance=var
-    )
-    return MarginalEstimate(log_value=log_v, method="gs", per_subset=(report,), leftover_log=0.0)
+    elif name == "enum":
+        report = SubsetReport(nodes=free, method="exact", log_factor=log_enumerate_marginal(bn, evidence))
+    else:
+        report = _whole_graph_sampled(bn, evidence, free, name, cfg.sampler)
+    return MarginalEstimate(log_value=report.log_factor, method=name, per_subset=(report,), leftover_log=0.0)

@@ -245,27 +245,9 @@ class UndirectedGraph:
 
 
 @dataclass(frozen=True)
-class NodeRelations:
-    parents: tuple
-    children: tuple
-    ancestors: tuple
-    descendants: tuple
-
-
-@dataclass(frozen=True)
 class Triangulation:
     chordal: UndirectedGraph
     elimination_order: tuple
-
-
-def relations(dag: Dag, v) -> NodeRelations:
-    """Parents, children, ancestors and descendants of v (canonical order)."""
-    return NodeRelations(
-        parents=dag.parents(v),
-        children=dag.children(v),
-        ancestors=dag.ancestors(v),
-        descendants=dag.descendants(v),
-    )
 
 
 def markov_blanket(dag: Dag, v) -> tuple:
@@ -275,11 +257,6 @@ def markov_blanket(dag: Dag, v) -> tuple:
         out.update(dag.parents(c))
     out.discard(v)
     return dag.sort(out)
-
-
-def topological_order(dag: Dag) -> tuple:
-    """A topological order, deterministic: ties broken by canonical position."""
-    return dag._topo
 
 
 def moralize(dag: Dag) -> UndirectedGraph:

@@ -326,52 +326,3 @@ def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
     if total <= 0.0:
         return -math.inf
     return math.log(total) + scale
-
-
-def log_subset_marginal_exact(
-    bn: CategoricalBN,
-    subset: Iterable,
-    bounds,
-    e: Mapping,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> float:
-    """Log of one subset's factor, by exact junction-tree summation.
-
-    The factor is the sum over the subset's configurations of the product of
-    the CPTs of the subset members and their evidence children, with all
-    boundary evidence fixed; blanket evidence outside the child boundary
-    enters as the constant one.
-    """
-    sub = tuple(subset)
-    scope = set(sub) | set(bounds.e_mb)
-    factors = set(sub) | set(bounds.e_ch)
-    jt = build_junction_tree(bn, scope, factors, table_cap)
-    values = {v: e[v] for v in bounds.e_mb}
-    ones = [v for v in bounds.e_mb if v not in set(bounds.e_ch)]
-    jt = incorporate_evidence(jt, values, ones)
-    return log_tree_sum(jt)
-
-
-def subset_marginal_exact(
-    bn: CategoricalBN,
-    subset: Iterable,
-    bounds,
-    e: Mapping,
-    table_cap: int = DEFAULT_TABLE_CAP,
-) -> float:
-    """Linear-space version of :func:`log_subset_marginal_exact`."""
-    return math.exp(log_subset_marginal_exact(bn, subset, bounds, e, table_cap))
-
-
-def log_full_junction_marginal(
-    bn: CategoricalBN, e: Mapping, table_cap: int = DEFAULT_TABLE_CAP
-) -> float:
-    """Log marginal of e over the whole network by one junction tree.
-
-    Treats the entire free set as a single group with all CPTs multiplied in
-    and every evidence node zeroed to its observed state; the root belief
-    then sums to the evidence marginal.
-    """
-    jt = build_junction_tree(bn, None, None, table_cap)
-    jt = incorporate_evidence(jt, dict(e), ())
-    return log_tree_sum(jt)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 from scipy.special import logsumexp
@@ -149,6 +149,16 @@ class CategoricalBN:
         )
 
 
+def derive_seed(seed: int, *key: int) -> int:
+    """Seed of the independent stream numbered ``key`` under ``seed``.
+
+    Depends on (seed, key) only, never on how many streams were derived
+    before, so results do not depend on the order work is done in.
+    """
+    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def validate(bn: CategoricalBN, tol: float = 1e-9) -> list[Violation]:
     """Report value-level CPT defects: out-of-range entries and bad row sums."""
     out = []
@@ -198,11 +208,6 @@ def log_joint_probability(bn: CategoricalBN, x: Mapping) -> float:
             return -math.inf
         total += math.log(p)
     return total
-
-
-def joint_probability(bn: CategoricalBN, x: Mapping) -> float:
-    """Joint probability of one complete assignment (product of CPT lookups)."""
-    return math.exp(log_joint_probability(bn, x))
 
 
 def _log_cpt(t: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
 from .graphs import Dag
-from .network import CategoricalBN, sample_forward_array
+from .network import CategoricalBN, derive_seed, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
 FAMILY_ALIASES = {
@@ -298,10 +298,7 @@ def gen_cpts(dag: Dag, categories: int, seed: int) -> CategoricalBN:
 def gen_network(spec: GenSpec) -> CategoricalBN:
     """Draw a full network: gen_dag's structure plus CPTs from a derived seed."""
     dag = gen_dag(spec)
-    cpt_seed = int(
-        np.random.SeedSequence(spec.seed, spawn_key=(1,)).generate_state(1, np.uint64)[0]
-    )
-    return gen_cpts(dag, spec.categories, cpt_seed)
+    return gen_cpts(dag, spec.categories, derive_seed(spec.seed, 1))
 
 
 def pick_evidence(bn: CategoricalBN, fraction: float, seed: int):

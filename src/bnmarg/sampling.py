@@ -1,5 +1,5 @@
-"""Approximate evidence marginals: belief-propagation proposals, importance
-sampling, and a Gibbs-frequency baseline.
+"""Approximate evidence marginals: belief-propagation and Gibbs-frequency
+proposals, and the importance estimate that both feed.
 
 The estimators share one identity: for any strictly positive factorized
 proposal q over the free variables,
@@ -18,16 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .decompose import relevant_subgraph
 from .errors import ArgumentError, InternalConsistencyError
-from .network import (
-    CategoricalBN,
-    log_joint_probability,
-    sample_forward_array,
-    validate_evidence,
-)
+from .network import CategoricalBN, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -315,68 +308,30 @@ def _log_weight_terms(
 
 def importance_estimate(
     bn: CategoricalBN,
-    subset: Iterable,
-    bounds,
-    evidence: Mapping,
     q: ImportanceDistribution,
-    cfg: SamplerConfig,
+    factor_nodes: Iterable,
+    evidence: Mapping,
+    rng: np.random.Generator,
+    m: int,
 ) -> ImportanceResult:
-    """Unbiased importance estimate of one subset's factor under proposal q.
+    """Unbiased importance estimate of sum_x prod_{v in factor_nodes} CPT_v(x, e).
 
-    Draws cfg.sample_count configurations of the subset from q and averages
-    w = prod_{v in subset+child boundary} CPT_v(x, e) / q(x).
+    Draws m joint configurations of every node of q from ``rng`` and averages
+    w = prod_v CPT_v(x, e) / q(x).  Every free factor node must be one of
+    q's nodes.
     """
-    sub = bn.dag.sort(set(subset))
-    if not set(sub) <= set(q.nodes):
-        raise ArgumentError("proposal does not cover the subset")
-    rng = np.random.default_rng(int(cfg.seed))
-    m = cfg.sample_count
-    q_sub = ImportanceDistribution(nodes=sub, probs={v: q.probs[v] for v in sub})
-    samples = q_sub.sample(rng, m)
-    logw = _log_weight_terms(bn, set(sub) | set(bounds.e_ch), samples, evidence, m)
-    log_est, rel = _is_summary(logw - q_sub.log_prob(samples))
+    factors = set(factor_nodes)
+    if not {v for v in factors if v not in evidence} <= set(q.nodes):
+        raise ArgumentError("proposal does not cover the free factor nodes")
+    samples = q.sample(rng, m)
+    logw = _log_weight_terms(bn, factors, samples, evidence, m)
+    log_est, rel = _is_summary(logw - q.log_prob(samples))
     return ImportanceResult(
         estimate=math.exp(log_est),
         log_estimate=log_est,
         weight_variance=rel,
         sample_count=m,
     )
-
-
-def _log_lbp_is(bn: CategoricalBN, evidence: Mapping, cfg: SamplerConfig):
-    validate_evidence(bn, evidence)
-    if not evidence:
-        return 0.0, 0.0, 0
-    rel = relevant_subgraph(bn, set(evidence))
-    free = [v for v in rel.node_ids if v not in evidence]
-    if not free:
-        # every relevant node observed: the marginal is a plain CPT product
-        logp = 0.0
-        for v in rel.node_ids:
-            p = float(rel.cpts[v][rel.row_index(v, evidence), evidence[v]])
-            if p <= 0.0:
-                return -math.inf, 0.0, 0
-            logp += math.log(p)
-        return logp, 0.0, 0
-    q = loopy_bp(rel, evidence, cfg)
-    rng = np.random.default_rng(int(cfg.seed))
-    m = cfg.sample_count
-    samples = q.sample(rng, m)
-    logw = _log_weight_terms(rel, rel.node_ids, samples, evidence, m) - q.log_prob(samples)
-    log_est, rel_var = _is_summary(logw)
-    return log_est, rel_var, m
-
-
-def lbp_is_estimate(bn: CategoricalBN, evidence: Mapping, cfg: SamplerConfig) -> float:
-    """Evidence marginal by belief-propagation-guided importance sampling.
-
-    Prunes to the relevant subgraph, runs loopy BP there for a factorized
-    proposal over all free nodes, and importance-weights against the full
-    product of the relevant CPTs.  Unbiased for any proposal the floor keeps
-    positive.
-    """
-    log_est, _, _ = _log_lbp_is(bn, evidence, cfg)
-    return math.exp(log_est)
 
 
 def _gibbs_plan(bn: CategoricalBN, free: list):
@@ -404,17 +359,25 @@ def _gibbs_plan(bn: CategoricalBN, free: list):
     return cols, plan
 
 
-def _log_gibbs(bn: CategoricalBN, evidence: Mapping, cfg: SamplerConfig, burn_in: int):
-    validate_evidence(bn, evidence)
+def gibbs_proposal(
+    bn: CategoricalBN,
+    evidence: Mapping,
+    cfg: SamplerConfig,
+    rng: np.random.Generator,
+    burn_in: int = 100,
+) -> ImportanceDistribution:
+    """Factorized proposal from the state frequencies of a Gibbs chain.
+
+    Starts from one forward draw with the evidence clamped, runs
+    systematic-scan single-site Gibbs over every non-evidence node of ``bn``
+    (Markov-blanket conditionals), discards ``burn_in`` sweeps, records
+    per-node state frequencies over cfg.sample_count further sweeps, and
+    floors and normalizes them.  Every draw comes from ``rng``, which the
+    ``gs`` baseline goes on to use for its importance samples.
+    """
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
-    if not evidence:
-        return 0.0, 0.0, 0
     free = [v for v in bn.node_ids if v not in evidence]
-    if not free:
-        return log_joint_probability(bn, evidence), 0.0, 0
-
-    rng = np.random.default_rng(int(cfg.seed))
     state = list(sample_forward_array(bn, 1, rng)[0])
     cols, plan = _gibbs_plan(bn, free)
     for v, s in evidence.items():
@@ -458,24 +421,4 @@ def _log_gibbs(bn: CategoricalBN, evidence: Mapping, cfg: SamplerConfig, burn_in
     for v in free:
         f = np.maximum(np.asarray(counts[v], dtype=float) / m, cfg.belief_floor)
         probs[v] = f / f.sum()
-    q = ImportanceDistribution(nodes=bn.dag.sort(free), probs=probs)
-    samples = q.sample(rng, m)
-    logw = _log_weight_terms(bn, bn.node_ids, samples, evidence, m) - q.log_prob(samples)
-    log_est, rel_var = _is_summary(logw)
-    return log_est, rel_var, m
-
-
-def gibbs_estimate(
-    bn: CategoricalBN, evidence: Mapping, cfg: SamplerConfig, burn_in: int = 100
-) -> float:
-    """Evidence marginal by a Gibbs-frequency proposal plus importance reweighting.
-
-    Runs systematic-scan single-site Gibbs over every non-evidence node of
-    the full network (Markov-blanket conditionals), discards ``burn_in``
-    sweeps, records per-node state frequencies over cfg.sample_count further
-    sweeps, floors and normalizes them into a factorized proposal, and
-    finally averages cfg.sample_count fresh importance weights against the
-    full joint.  Total work is burn_in + 2 * sample_count sweep-equivalents.
-    """
-    log_est, _, _ = _log_gibbs(bn, evidence, cfg, burn_in)
-    return math.exp(log_est)
+    return ImportanceDistribution(nodes=tuple(free), probs=probs)

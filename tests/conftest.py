@@ -49,6 +49,22 @@ def rand_evidence(rng, bn, count):
     }
 
 
+def sparse_bn(rng, n):
+    """Random network with cardinalities 2-5, about 40 % zero CPT entries and
+    some deterministic rows."""
+    bn = rand_bn(rng, n, 0.35, cards=(2, 3, 4, 5))
+    cpts = {}
+    for v in bn.node_ids:
+        t = np.array(bn.cpts[v])
+        t[rng.random(t.shape) < 0.4] = 0.0
+        for r in range(t.shape[0]):
+            if t[r].sum() == 0.0 or rng.random() < 0.1:
+                t[r] = 0.0
+                t[r, rng.integers(t.shape[1])] = 1.0
+        cpts[v] = t / t.sum(axis=1, keepdims=True)
+    return CategoricalBN(bn.dag, bn.cardinalities, cpts)
+
+
 def brute_marginal(bn, evidence):
     """P(evidence) by plain iteration over every complete assignment."""
     free = [v for v in bn.node_ids if v not in evidence]

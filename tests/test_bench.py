@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -5,13 +8,20 @@ from bnmarg.bench import (
     CSV_HEADER,
     BenchRow,
     load_bench_file,
-    rows_from_csv,
     rows_to_csv,
     rows_to_gnuplot,
     run_benchmark,
 )
 from bnmarg.errors import DataFormatError
 from bnmarg.randnet import GenSpec
+
+
+def rows_from_csv(text):
+    """Rows back from rows_to_csv text: the round-trip oracle."""
+    header, *records = csv.reader(io.StringIO(text))
+    assert tuple(header) == CSV_HEADER
+    types = (str, int, int, float, float, str, int, float, float, int)
+    return tuple(BenchRow(*(t(x) for t, x in zip(types, rec))) for rec in records)
 
 
 def _spec(**kw):
@@ -117,18 +127,6 @@ def test_csv_round_trip():
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 3
     assert rows_from_csv(text) == rows
-
-
-def test_csv_header_is_validated():
-    rows = (BenchRow("er", 5, 2, 0.1, 1.5, "sgs", 10, 1.0, 0.5, 2),)
-    good = rows_to_csv(rows)
-    bad = good.replace("wall_time_ms", "wall_time")
-    with pytest.raises(DataFormatError):
-        rows_from_csv(bad)
-    with pytest.raises(DataFormatError):
-        rows_from_csv(good + "only,three,cells\n")
-    with pytest.raises(DataFormatError):
-        rows_from_csv(good.replace("sgs", "sgs").replace("0.5", "not-a-number"))
 
 
 def test_gnuplot_output():

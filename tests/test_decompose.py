@@ -4,12 +4,11 @@ import pytest
 from bnmarg.decompose import (
     decompose,
     find_subsets,
-    irrelevant_nodes,
     relevant_subgraph,
     subset_boundaries,
 )
 from bnmarg.errors import ArgumentError
-from bnmarg.graphs import Dag, d_separated, markov_blanket, relations
+from bnmarg.graphs import Dag, d_separated, markov_blanket
 from bnmarg.network import CategoricalBN, enumerate_marginal
 
 from conftest import rand_bn, rand_evidence, two_group_network
@@ -20,12 +19,18 @@ def chain_aec():
 
 
 def test_irrelevant_nodes():
+    # nodes that are neither evidence nor an ancestor of it are pruned
+    def irrelevant(bn, e):
+        return tuple(v for v in bn.node_ids if v not in relevant_subgraph(bn, e).dag)
+
     dag = chain_aec()
-    assert irrelevant_nodes(dag, {"A", "E", "C"}) == ()
-    assert irrelevant_nodes(dag, {"E"}) == ("C",)
-    assert irrelevant_nodes(dag, {"A"}) == ("E", "C")
+    bn = CategoricalBN(dag, {v: 2 for v in dag.node_ids},
+                       {v: np.full((2 ** len(dag.parents(v)), 2), 0.5) for v in dag.node_ids})
+    assert irrelevant(bn, {"A", "E", "C"}) == ()
+    assert irrelevant(bn, {"E"}) == ("C",)
+    assert irrelevant(bn, {"A"}) == ("E", "C")
     bn = two_group_network()
-    assert irrelevant_nodes(bn.dag, {"E", "N", "O"}) == ("C", "D", "F", "H", "I", "M")
+    assert irrelevant(bn, {"E", "N", "O"}) == ("C", "D", "F", "H", "I", "M")
 
 
 def test_relevant_subgraph_edges():
@@ -85,9 +90,8 @@ def test_subset_boundaries_definitional():
             pa = set()
             for u in subset:
                 mb |= set(markov_blanket(sub.dag, u))
-                rel = relations(sub.dag, u)
-                ch |= set(rel.children)
-                pa |= set(rel.parents)
+                ch |= set(sub.dag.children(u))
+                pa |= set(sub.dag.parents(u))
             assert set(b.e_mb) == mb & set(e)
             assert set(b.e_ch) == ch & set(e)
             assert set(b.e_pa) == pa & set(e)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,10 +16,10 @@ from bnmarg.engine import (
 )
 from bnmarg.errors import ArgumentError, CapacityError, InternalConsistencyError
 from bnmarg.graphs import Dag
-from bnmarg.network import CategoricalBN, log_joint_probability
+from bnmarg.network import CategoricalBN, log_joint_probability, sample_forward
 from bnmarg.sampling import SamplerConfig
 
-from conftest import brute_marginal, rand_bn, rand_evidence
+from conftest import brute_marginal, rand_bn, rand_evidence, sparse_bn
 
 
 def test_canonical_method_names_and_aliases():
@@ -236,3 +237,154 @@ def test_marginal_dispatch_result_shapes():
         assert est.value == pytest.approx(truth, rel=0.2)
         (rep,) = est.per_subset
         assert rep.method == "approx"
+
+
+def _pin_cases():
+    """(label, network, evidence, method, config) for the pinned outputs.
+
+    Sparse networks (cardinalities 2-5, ~40 % zero CPT entries, deterministic
+    rows) with empty, one-node, half and full evidence, every method at three
+    n_max values, then a capacity fallback and per-subset overrides.
+    """
+    for k in range(16):
+        rng = np.random.default_rng(7000 + k)
+        bn = sparse_bn(rng, int(rng.integers(4, 10)))
+        e = rand_evidence(rng, bn, (0, 1, len(bn) // 2, len(bn))[k % 4])
+        if k % 8 < 6:  # states of a forward draw: evidence of positive probability
+            x = sample_forward(bn, 1, seed=k)[0]
+            e = {v: x[v] for v in e}
+        cfg = SgsConfig(n_max=(0, 4, 100)[k % 3], sampler=SamplerConfig(sample_count=60, seed=k))
+        for method in METHODS:
+            yield f"{k}/{method}", bn, e, method, cfg
+    # two subsets split by the root evidence x: a chain a0-a1 whose cliques fit
+    # a cap of 27 joint states, and a dense block b0..b4 whose cliques do not
+    rng = np.random.default_rng(7100)
+    names = ("x", "a0", "a1", "b0", "b1", "b2", "b3", "b4", "ya", "yb")
+    edges = [("x", "a0"), ("a0", "a1"), ("a1", "ya"), ("x", "b0"), ("b4", "yb")]
+    edges += [(f"b{i}", f"b{j}") for i in range(5) for j in range(i + 1, 5)]
+    dag = Dag(names, edges)
+    cpts = {}
+    for v in names:
+        t = rng.random((3 ** len(dag.parents(v)), 3))
+        cpts[v] = t / t.sum(axis=1, keepdims=True)
+    bn = CategoricalBN(dag, {v: 3 for v in names}, cpts)
+    e = {"x": 1, "ya": 2, "yb": 0}
+    sampler = SamplerConfig(sample_count=80, seed=3)
+    for label, cfg in (
+        ("cap/fallback", SgsConfig(n_max=100, table_cap=27, sampler=sampler)),
+        ("cap/exact", SgsConfig(n_max=100, sampler=sampler)),
+        ("sampled/all", SgsConfig(n_max=0, sampler=sampler)),
+        ("override/approx", SgsConfig(n_max=100, sampler=sampler, method_override={0: "approx"})),
+        ("override/exact", SgsConfig(n_max=0, sampler=sampler, method_override={1: "exact"})),
+        ("override/refused", SgsConfig(n_max=0, table_cap=27, method_override={1: "exact"})),
+    ):
+        yield label, bn, e, "sgs", cfg
+    yield "cap/jt", bn, e, "jt", SgsConfig(table_cap=27)
+
+
+def _pin(bn, e, method, cfg):
+    try:
+        est = marginal(bn, e, method, cfg)
+    except CapacityError as exc:
+        return type(exc).__name__, ""
+    reports = repr((est.method, est.per_subset, est.leftover_log)).encode()
+    return repr(est.log_value), hashlib.sha256(reports).hexdigest()[:16]
+
+
+# repr of each log value and a digest of the rest of the estimate, recorded
+# (numpy 2.4) before jt, lbp-is and gs were routed through the engine's two
+# subset solvers; a refactor must keep every draw and every sum bit for bit
+PINNED = {
+    "0/sgs": ("0.0", "9d3fd02a18c16106"),
+    "0/jt": ("1.3877787807814457e-16", "09a001027625ee57"),
+    "0/lbp-is": ("0.0", "074928ecba265d46"),
+    "0/gs": ("0.0", "30c6011db48f3e7f"),
+    "0/enum": ("0.0", "503606edb83296e6"),
+    "1/sgs": ("-0.41632964174123543", "6d1b07625e14dab9"),
+    "1/jt": ("-0.5983456188768386", "f0a28fd6a932361b"),
+    "1/lbp-is": ("-0.21013189266562904", "b5401e12740845da"),
+    "1/gs": ("-0.31229897870748413", "d264025534e63997"),
+    "1/enum": ("-0.5983456188768383", "d62adf08013e7c6f"),
+    "2/sgs": ("0.0", "e09e56728a65a747"),
+    "2/jt": ("0.0", "20ae87b766923f40"),
+    "2/lbp-is": ("2.99999549971225e-06", "516a4e9cc1dd6246"),
+    "2/gs": ("1.0999979499232588e-05", "8a5a0651d90fe192"),
+    "2/enum": ("0.0", "75e05e2b4d22a170"),
+    "3/sgs": ("-2.784134350396218", "7d0ae1ee6574cf64"),
+    "3/jt": ("-2.784134350396218", "965ebd7cd9af947e"),
+    "3/lbp-is": ("-2.784134350396218", "cbaa8bff04fbfab4"),
+    "3/gs": ("-2.784134350396218", "2e842f49be02c1e9"),
+    "3/enum": ("-2.784134350396218", "766e6286deeee085"),
+    "4/sgs": ("0.0", "9d3fd02a18c16106"),
+    "4/jt": ("0.0", "ce4144a5c2aca38c"),
+    "4/lbp-is": ("0.0", "fcebe701cec5d307"),
+    "4/gs": ("0.0", "f4ed21a70385f4f4"),
+    "4/enum": ("0.0", "1a9849759ad42d74"),
+    "5/sgs": ("-0.6295679401910886", "16eda4f96b976b0a"),
+    "5/jt": ("-0.6295679401910886", "7caf2d5f199b64c2"),
+    "5/lbp-is": ("-0.6295669401915887", "9d014e29574875d8"),
+    "5/gs": ("-0.6295629401965889", "8f1eca7eb99c2a24"),
+    "5/enum": ("-0.6295679401910886", "df7022d5320221bb"),
+    "6/sgs": ("-inf", "3548fa058fbd9f8d"),
+    "6/jt": ("-inf", "8383cc385a5cc016"),
+    "6/lbp-is": ("-inf", "21a015714adf451d"),
+    "6/gs": ("-inf", "48026005754b3e83"),
+    "6/enum": ("-inf", "9d7beca644e32ca9"),
+    "7/sgs": ("-inf", "3548fa058fbd9f8d"),
+    "7/jt": ("-inf", "4676ea57272ee4fe"),
+    "7/lbp-is": ("-inf", "6069531589db2bfb"),
+    "7/gs": ("-inf", "18603f194bc11fea"),
+    "7/enum": ("-inf", "ee2151caf9f442e8"),
+    "8/sgs": ("0.0", "9d3fd02a18c16106"),
+    "8/jt": ("2.2204460492503128e-16", "2c65ac4bcb955adb"),
+    "8/lbp-is": ("0.0", "f2408d606ef57d1c"),
+    "8/gs": ("0.0", "cc9a411acfdcb35c"),
+    "8/enum": ("0.0", "6812a8131b9705c6"),
+    "9/sgs": ("-1.4508242961335505", "944c16c2f2c05147"),
+    "9/jt": ("-1.450824296133551", "86dce3b86f8518e4"),
+    "9/lbp-is": ("-1.4508242961335505", "adae239ea91e9a9b"),
+    "9/gs": ("-1.4418536016468306", "687369a056040de1"),
+    "9/enum": ("-1.4508242961335507", "a74b16f115d1f529"),
+    "10/sgs": ("-1.429916298964589", "a0abc515e90eb421"),
+    "10/jt": ("-1.6770434192047818", "d84b14d2551cd291"),
+    "10/lbp-is": ("-2.0623567736642947", "ff330ba8a3c91a2d"),
+    "10/gs": ("-2.571909327829393", "3b3cb2057f2a608d"),
+    "10/enum": ("-1.677043419204782", "a263b6c195565109"),
+    "11/sgs": ("-6.454166882214845", "c963fe909e5ccb61"),
+    "11/jt": ("-6.454166882214846", "c02d882c0ed06aa0"),
+    "11/lbp-is": ("-6.454166882214845", "c13d913209491f62"),
+    "11/gs": ("-6.454166882214845", "2f42b34a1c0d7ac0"),
+    "11/enum": ("-6.454166882214845", "f6676c4a7d1c7102"),
+    "12/sgs": ("0.0", "9d3fd02a18c16106"),
+    "12/jt": ("-1.5265566588595902e-16", "56b796e9beb84aca"),
+    "12/lbp-is": ("0.0", "f2408d606ef57d1c"),
+    "12/gs": ("0.0", "cc9a411acfdcb35c"),
+    "12/enum": ("-4.440892098500626e-16", "e63b37965ea68588"),
+    "13/sgs": ("-0.5635230082128814", "9685ffc991fe303f"),
+    "13/jt": ("-0.5635230082128814", "a407ef8850da26bc"),
+    "13/lbp-is": ("-0.5635230082128814", "7e37ba8d9758e718"),
+    "13/gs": ("-1.9838765093748143", "7629b94418d7569a"),
+    "13/enum": ("-0.5635230082128814", "4813a8448871a720"),
+    "14/sgs": ("-inf", "316dcfb88233ce22"),
+    "14/jt": ("-inf", "32ca0d5a6d77fff3"),
+    "14/lbp-is": ("-inf", "6b34dfb2322bb4b3"),
+    "14/gs": ("-inf", "034ab0dab463ac8c"),
+    "14/enum": ("-inf", "9a74aa4f7cd34980"),
+    "15/sgs": ("-inf", "3548fa058fbd9f8d"),
+    "15/jt": ("-inf", "4676ea57272ee4fe"),
+    "15/lbp-is": ("-inf", "6069531589db2bfb"),
+    "15/gs": ("-inf", "18603f194bc11fea"),
+    "15/enum": ("-inf", "ee2151caf9f442e8"),
+    "cap/fallback": ("-3.916004732444881", "202741650df82e31"),
+    "cap/exact": ("-4.041655074875752", "c7319c056461178a"),
+    "sampled/all": ("-4.064556150722128", "9c6f17fad4f71616"),
+    "override/approx": ("-3.951316493735991", "150ee8b672987f97"),
+    "override/exact": ("-3.951316493735991", "150ee8b672987f97"),
+    "override/refused": ("CapacityError", ""),
+    "cap/jt": ("CapacityError", ""),
+}
+
+
+def test_outputs_are_pinned():
+    got = {label: _pin(bn, e, method, cfg) for label, bn, e, method, cfg in _pin_cases()}
+    assert got == PINNED

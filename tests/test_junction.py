@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bnmarg.decompose import decompose, relevant_subgraph
+from bnmarg.decompose import decompose, relevant_subgraph, subset_boundaries
+from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
 from bnmarg.graphs import Dag
-from bnmarg.junction import (
-    build_junction_tree,
-    incorporate_evidence,
-    log_full_junction_marginal,
-    log_tree_sum,
-    subset_marginal_exact,
-)
-from bnmarg.network import CategoricalBN, enumerate_marginal, log_enumerate_marginal
+from bnmarg.junction import build_junction_tree, incorporate_evidence, log_tree_sum
+from bnmarg.network import CategoricalBN, log_enumerate_marginal
 
 from conftest import brute_marginal, rand_bn, rand_evidence
 
@@ -96,27 +91,29 @@ def test_subset_marginal_law_of_total_probability():
         "c": np.array([[0.8, 0.2], [0.1, 0.9]]),
     }
     bn = CategoricalBN(dag, {"v": 2, "c": 2}, cpts)
-    dec = decompose(bn, {"c": 1})
-    assert dec.subsets == (("v",),)
-    got = subset_marginal_exact(bn, dec.subsets[0], dec.boundaries[0], {"c": 1})
+    est = marginal(bn, {"c": 1}, "sgs", SgsConfig(n_max=999))
+    (rep,) = est.per_subset
+    assert rep.nodes == ("v",) and rep.method == "exact"
+    got = math.exp(rep.log_factor)
     assert got == pytest.approx(0.7 * 0.2 + 0.3 * 0.9)
     assert got == pytest.approx(0.41)
 
 
 def test_subset_marginal_empty_child_boundary():
     # evidence is a parent of the subset, not a child: the conditional target
-    # is an empty event set, so the factor is exactly one
+    # is an empty event set, so the factor is exactly one.  Relevance pruning
+    # never hands the engine such a subset, so the exact solver is called
+    # directly with the boundary's CPT left out
     dag = Dag(("E", "C"), [("E", "C")])
     cpts = {
         "E": np.array([[0.4, 0.6]]),
         "C": np.array([[0.5, 0.5], [0.2, 0.8]]),
     }
     bn = CategoricalBN(dag, {"E": 2, "C": 2}, cpts)
-    from bnmarg.decompose import subset_boundaries
-
     b = subset_boundaries(dag, {"C"}, {"E"})
     assert b.e_ch == ()
-    assert subset_marginal_exact(bn, ("C",), b, {"E": 1}) == pytest.approx(1.0)
+    got = _log_exact(bn, {"C", "E"}, {"C"}, {"E": 1}, ("E",), 2**20)
+    assert math.exp(got) == pytest.approx(1.0)
 
 
 def test_subset_marginal_matches_enumeration():
@@ -126,10 +123,10 @@ def test_subset_marginal_matches_enumeration():
         e = rand_evidence(rng, bn, int(rng.integers(1, 5)))
         dec = decompose(bn, e)
         sub = relevant_subgraph(bn, e)
-        total = sum(
-            math.log(subset_marginal_exact(sub, s, b, e))
-            for s, b in zip(dec.subsets, dec.boundaries)
-        )
+        est = marginal(bn, e, "sgs", SgsConfig(n_max=999))
+        assert tuple(r.nodes for r in est.per_subset) == dec.subsets
+        assert all(r.method == "exact" for r in est.per_subset)
+        total = sum(r.log_factor for r in est.per_subset)
         # add the closed-form leftover factor by direct CPT lookup
         for v in dec.leftover_evidence:
             total += math.log(float(sub.cpts[v][sub.row_index(v, e), e[v]]))
@@ -152,7 +149,7 @@ def test_full_junction_equals_enumeration():
     for _ in range(15):
         bn = rand_bn(rng, 11, 0.3)
         e = rand_evidence(rng, bn, int(rng.integers(0, 6)))
-        got = log_full_junction_marginal(bn, e)
+        got = marginal(bn, e, "jt").log_value
         want = log_enumerate_marginal(bn, e)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 

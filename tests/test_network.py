@@ -9,7 +9,6 @@ from bnmarg.graphs import Dag
 from bnmarg.network import (
     CategoricalBN,
     enumerate_marginal,
-    joint_probability,
     log_enumerate_marginal,
     log_joint_probability,
     sample_forward,
@@ -18,6 +17,10 @@ from bnmarg.network import (
 )
 
 from conftest import brute_marginal, rand_bn, rand_evidence
+
+
+def joint_probability(bn, x):
+    return math.exp(log_joint_probability(bn, x))
 
 
 def two_node():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bnmarg.decompose import decompose, relevant_subgraph, subset_boundaries
+from bnmarg.decompose import decompose, relevant_subgraph
 from bnmarg.engine import SgsConfig, marginal
 from bnmarg.errors import ArgumentError
 from bnmarg.graphs import Dag
@@ -12,13 +12,17 @@ from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probabil
 from bnmarg.sampling import (
     ImportanceDistribution,
     SamplerConfig,
-    gibbs_estimate,
+    gibbs_proposal,
     importance_estimate,
-    lbp_is_estimate,
     loopy_bp,
 )
 
-from conftest import brute_marginal, rand_bn, rand_evidence
+from conftest import brute_marginal, rand_bn, rand_evidence, sparse_bn
+
+
+def _estimate(bn, e, method, sampler):
+    """The evidence marginal P(e) that ``method`` estimates with ``sampler``."""
+    return marginal(bn, e, method, SgsConfig(sampler=sampler)).value
 
 
 def _polytree_bn(rng, n):
@@ -127,22 +131,6 @@ def _reference_loopy_bp(bn, evidence, cfg, nodes=None, factor_nodes=None):
     return tuple(free), probs
 
 
-def _sparse_bn(rng, n):
-    """Random network with cardinalities 2-5, about 40 % zero CPT entries and
-    some deterministic rows."""
-    bn = rand_bn(rng, n, 0.35, cards=(2, 3, 4, 5))
-    cpts = {}
-    for v in bn.node_ids:
-        t = np.array(bn.cpts[v])
-        t[rng.random(t.shape) < 0.4] = 0.0
-        for r in range(t.shape[0]):
-            if t[r].sum() == 0.0 or rng.random() < 0.1:
-                t[r] = 0.0
-                t[r, rng.integers(t.shape[1])] = 1.0
-        cpts[v] = t / t.sum(axis=1, keepdims=True)
-    return CategoricalBN(bn.dag, bn.cardinalities, cpts)
-
-
 def _bp_scopes(bn, e):
     """The whole network, then every subset scope as the engine passes it."""
     yield bn, e, None, None
@@ -157,7 +145,7 @@ def test_loopy_bp_matches_reference_message_loop():
     rng = np.random.default_rng(2024)
     checked = 0
     for trial in range(80):
-        bn = _sparse_bn(rng, int(rng.integers(3, 12)))
+        bn = sparse_bn(rng, int(rng.integers(3, 12)))
         n = len(bn.node_ids)
         count = (0, 1, max(n - 2, 1), n - 1)[trial % 4]
         e = rand_evidence(rng, bn, count)
@@ -321,10 +309,9 @@ def test_exact_proposal_has_zero_weight_variance():
     }
     bn = CategoricalBN(dag, {"v": 2, "c": 2}, cpts)
     e = {"c": 1}
-    b = subset_boundaries(dag, {"v"}, set(e))
     post = np.array([0.7 * 0.2, 0.3 * 0.9])
     q = ImportanceDistribution(nodes=("v",), probs={"v": post / post.sum()})
-    res = importance_estimate(bn, ("v",), b, e, q, SamplerConfig(sample_count=25, seed=9))
+    res = importance_estimate(bn, q, ("v", "c"), e, np.random.default_rng(9), 25)
     assert res.estimate == pytest.approx(0.41, rel=1e-12)
     assert res.weight_variance == pytest.approx(0.0, abs=1e-20)
     assert res.sample_count == 25
@@ -338,15 +325,15 @@ def test_importance_estimate_unbiased_within_error_bars():
         dec = decompose(bn, e)
         if not dec.subsets:
             continue
-        sub, b = max(zip(dec.subsets, dec.boundaries), key=lambda t: len(t[0]))
+        i = max(range(len(dec.subsets)), key=lambda k: len(dec.subsets[k]))
+        sub, b = dec.subsets[i], dec.boundaries[i]
         cfg = SamplerConfig(sample_count=20000, seed=int(rng.integers(1 << 30)))
-        from bnmarg.decompose import relevant_subgraph
-        from bnmarg.junction import subset_marginal_exact
-
         rel = relevant_subgraph(bn, e)
-        q = loopy_bp(rel, e, cfg, nodes=set(sub) | set(b.e_mb), factor_nodes=set(sub) | set(b.e_ch))
-        res = importance_estimate(rel, sub, b, e, q, cfg)
-        truth = subset_marginal_exact(rel, sub, b, e)
+        factors = set(sub) | set(b.e_ch)
+        q = loopy_bp(rel, e, cfg, nodes=set(sub) | set(b.e_mb), factor_nodes=factors)
+        draws = np.random.default_rng(cfg.seed)
+        res = importance_estimate(rel, q, factors, e, draws, cfg.sample_count)
+        truth = math.exp(marginal(bn, e, "sgs", SgsConfig(n_max=999)).per_subset[i].log_factor)
         se = res.estimate * math.sqrt(res.weight_variance / res.sample_count)
         assert abs(res.estimate - truth) <= 4.0 * se + 1e-12
 
@@ -359,20 +346,20 @@ def test_importance_estimate_requires_covering_proposal():
     sub, b = dec.subsets[0], dec.boundaries[0]
     bad = ImportanceDistribution(nodes=("zzz",), probs={"zzz": np.array([0.5, 0.5])})
     with pytest.raises(ArgumentError):
-        importance_estimate(bn, sub, b, e, bad, SamplerConfig(sample_count=5))
+        importance_estimate(bn, bad, set(sub) | set(b.e_ch), e, np.random.default_rng(0), 5)
 
 
 def test_lbp_is_no_evidence_is_one():
     rng = np.random.default_rng(3)
     bn = rand_bn(rng, 6, 0.4)
-    assert lbp_is_estimate(bn, {}, SamplerConfig(sample_count=10)) == 1.0
+    assert _estimate(bn, {}, "lbp-is", SamplerConfig(sample_count=10)) == 1.0
 
 
 def test_lbp_is_all_observed_is_joint():
     rng = np.random.default_rng(4)
     bn = rand_bn(rng, 6, 0.4)
     e = {v: 0 for v in bn.node_ids}
-    got = lbp_is_estimate(bn, e, SamplerConfig(sample_count=10))
+    got = _estimate(bn, e, "lbp-is", SamplerConfig(sample_count=10))
     assert math.log(got) == pytest.approx(log_joint_probability(bn, e), rel=1e-12)
 
 
@@ -391,7 +378,8 @@ def test_lbp_is_exact_when_proposal_is_exact():
         cpts[v] = t / t.sum(axis=1, keepdims=True)
     bn = CategoricalBN(dag, cards, cpts)
     e = {"l0": 1, "l1": 0}
-    got = lbp_is_estimate(bn, e, SamplerConfig(sample_count=3, lbp_iterations=100, lbp_tolerance=1e-12, seed=5))
+    sampler = SamplerConfig(sample_count=3, lbp_iterations=100, lbp_tolerance=1e-12, seed=5)
+    got = _estimate(bn, e, "lbp-is", sampler)
     assert got == pytest.approx(enumerate_marginal(bn, e), rel=1e-9)
 
 
@@ -401,16 +389,17 @@ def test_lbp_is_matches_enumeration_within_error():
         bn = rand_bn(rng, 9, 0.3)
         e = rand_evidence(rng, bn, 3)
         truth = enumerate_marginal(bn, e)
-        got = lbp_is_estimate(bn, e, SamplerConfig(sample_count=40000, seed=int(rng.integers(1 << 30))))
+        sampler = SamplerConfig(sample_count=40000, seed=int(rng.integers(1 << 30)))
+        got = _estimate(bn, e, "lbp-is", sampler)
         assert got == pytest.approx(truth, rel=0.15)
 
 
 def test_gibbs_no_evidence_and_full_evidence():
     rng = np.random.default_rng(21)
     bn = rand_bn(rng, 6, 0.4)
-    assert gibbs_estimate(bn, {}, SamplerConfig(sample_count=5)) == 1.0
+    assert _estimate(bn, {}, "gs", SamplerConfig(sample_count=5)) == 1.0
     e = {v: 1 for v in bn.node_ids}
-    got = gibbs_estimate(bn, e, SamplerConfig(sample_count=5))
+    got = _estimate(bn, e, "gs", SamplerConfig(sample_count=5))
     assert math.log(got) == pytest.approx(log_joint_probability(bn, e), rel=1e-12)
 
 
@@ -425,7 +414,7 @@ def test_gibbs_independent_nodes():
         "c": np.array([[0.5, 0.5]]),
     }
     bn = CategoricalBN(dag, {v: 2 for v in "abc"}, cpts)
-    got = gibbs_estimate(bn, {"a": 1, "b": 0}, SamplerConfig(sample_count=4000, seed=2))
+    got = _estimate(bn, {"a": 1, "b": 0}, "gs", SamplerConfig(sample_count=4000, seed=2))
     assert got == pytest.approx(0.4 * 0.2, rel=0.02)
 
 
@@ -435,7 +424,8 @@ def test_gibbs_matches_enumeration_within_error():
         bn = rand_bn(rng, 8, 0.3)
         e = rand_evidence(rng, bn, 2)
         truth = enumerate_marginal(bn, e)
-        got = gibbs_estimate(bn, e, SamplerConfig(sample_count=3000, seed=int(rng.integers(1 << 30))))
+        sampler = SamplerConfig(sample_count=3000, seed=int(rng.integers(1 << 30)))
+        got = _estimate(bn, e, "gs", sampler)
         assert got == pytest.approx(truth, rel=0.2)
 
 
@@ -443,7 +433,7 @@ def test_gibbs_burn_in_validation():
     rng = np.random.default_rng(1)
     bn = rand_bn(rng, 4, 0.4)
     with pytest.raises(ArgumentError):
-        gibbs_estimate(bn, {"n0": 0}, SamplerConfig(sample_count=5), burn_in=-1)
+        gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=-1)
 
 
 def test_estimators_are_deterministic():
@@ -451,7 +441,7 @@ def test_estimators_are_deterministic():
     bn = rand_bn(rng, 8, 0.3)
     e = rand_evidence(rng, bn, 3)
     cfg = SamplerConfig(sample_count=500, seed=42)
-    assert lbp_is_estimate(bn, e, cfg) == lbp_is_estimate(bn, e, cfg)
-    assert gibbs_estimate(bn, e, cfg) == gibbs_estimate(bn, e, cfg)
+    for method in ("lbp-is", "gs"):
+        assert _estimate(bn, e, method, cfg) == _estimate(bn, e, method, cfg)
     other = SamplerConfig(sample_count=500, seed=43)
-    assert lbp_is_estimate(bn, e, cfg) != lbp_is_estimate(bn, e, other)
+    assert _estimate(bn, e, "lbp-is", cfg) != _estimate(bn, e, "lbp-is", other)
