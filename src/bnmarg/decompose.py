@@ -49,8 +49,7 @@ def relevant_subgraph(bn: CategoricalBN, e: Iterable) -> CategoricalBN:
     the retained nodes.
     """
     ev = set(e)
-    for v in ev:
-        bn.dag.index(v)
+    bn.dag.check_nodes(ev)
     keep = ev | set(bn.dag.ancestors_of_set(ev))
     return bn.restrict(keep)
 
@@ -65,8 +64,7 @@ def find_subsets(dag: Dag, e: Iterable) -> list[tuple]:
     order.
     """
     ev = set(e)
-    for v in ev:
-        dag.index(v)
+    dag.check_nodes(ev)
     moral = moralize(dag)
     free = [v for v in dag.node_ids if v not in ev]
     seen = set()
@@ -94,8 +92,7 @@ def subset_boundaries(dag: Dag, subset: Iterable, e: Iterable) -> SubsetBoundary
     """Evidence boundary sets of one subset, computed in the given graph."""
     sub = set(subset)
     ev = set(e)
-    for v in sub | ev:
-        dag.index(v)
+    dag.check_nodes(sub | ev)
     if sub & ev:
         raise ArgumentError("subset and evidence overlap")
     if not sub:

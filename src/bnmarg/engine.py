@@ -23,7 +23,7 @@ import numpy as np
 from .decompose import decompose, relevant_subgraph
 from .errors import ArgumentError, CapacityError, InternalConsistencyError
 from .junction import DEFAULT_TABLE_CAP, build_junction_tree, incorporate_evidence, log_tree_sum
-from .network import CategoricalBN, derive_seed, log_enumerate_marginal, validate_evidence
+from .network import CategoricalBN, derive_seed, log_cpt_product, log_enumerate_marginal, validate_evidence
 from .sampling import SamplerConfig, gibbs_proposal, importance_estimate, loopy_bp
 
 METHODS = ("sgs", "jt", "lbp-is", "gs", "enum")
@@ -109,28 +109,22 @@ def evidence_only_factor(bn: CategoricalBN, e_prime, evidence: Mapping) -> float
     prod_v P(X_v = e[v] | X_pa(v) = e[pa(v)]) with no summation at all.
     """
     validate_evidence(bn, evidence)
-    total = 0.0
     for v in e_prime:
         if v not in evidence:
             raise ArgumentError(f"leftover node {v!r} is not observed")
-        ps = bn.dag.parents(v)
-        if not set(ps) <= set(evidence):
+        if not all(p in evidence for p in bn.dag.parents(v)):
             raise InternalConsistencyError(
                 f"leftover evidence node {v!r} has unobserved parents"
             )
-        p = float(bn.cpts[v][bn.row_index(v, evidence), evidence[v]])
-        if p <= 0.0:
-            return -math.inf
-        total += math.log(p)
-    return total
+    return log_cpt_product(bn, e_prime, evidence)
 
 
-def _log_exact(bn: CategoricalBN, scope, factors, values: Mapping, ones, table_cap: int) -> float:
+def _log_exact(bn: CategoricalBN, scope, factors, values: Mapping, table_cap: int) -> float:
     """Exact solver: log of the sum over the free nodes of ``scope`` of the
-    product of the ``factors``' CPTs, with ``values`` fixed and the CPTs of
-    ``ones`` left out (they contribute the constant one)."""
+    product of the ``factors``' CPTs, with ``values`` fixed; a node of
+    ``scope`` outside ``factors`` contributes the constant one."""
     jt = build_junction_tree(bn, scope, factors, table_cap)
-    return log_tree_sum(incorporate_evidence(jt, values, ones))
+    return log_tree_sum(incorporate_evidence(jt, values))
 
 
 def _sampled_report(
@@ -167,9 +161,8 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
         values = {v: evidence[v] for v in b.e_mb}
         forced = override.get(i)
         if forced == "exact" or (forced is None and len(sub) < cfg.n_max):
-            ones = [v for v in b.e_mb if v not in factors]
             try:
-                log_f = _log_exact(rel, scope, factors, values, ones, cfg.table_cap)
+                log_f = _log_exact(rel, scope, factors, values, cfg.table_cap)
             except CapacityError:
                 if forced == "exact":
                     raise
@@ -239,7 +232,7 @@ def marginal(
 
     free = tuple(v for v in bn.node_ids if v not in evidence)
     if name == "jt":
-        log_v = _log_exact(bn, bn.node_ids, bn.node_ids, evidence, (), cfg.table_cap)
+        log_v = _log_exact(bn, bn.node_ids, bn.node_ids, evidence, cfg.table_cap)
         report = SubsetReport(nodes=free, method="exact", log_factor=log_v)
     elif name == "enum":
         report = SubsetReport(nodes=free, method="exact", log_factor=log_enumerate_marginal(bn, evidence))

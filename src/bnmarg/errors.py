@@ -87,9 +87,6 @@ class NetworkFormatError(BnmargError):
         self.line = line
         self.col = col
 
-    def location(self) -> str:
-        return f"{self.line}:{self.col}"
-
 
 class NetworkSyntaxError(NetworkFormatError):
     code = "syntax"

@@ -80,6 +80,11 @@ class Dag:
         except KeyError:
             raise UnknownNodeError(f"unknown node {v!r}") from None
 
+    def check_nodes(self, nodes: Iterable) -> None:
+        """Raise UnknownNodeError unless every given node is in the graph."""
+        for v in set(nodes).difference(self._index):
+            self.index(v)
+
     def parents(self, v) -> tuple:
         self.index(v)
         return self._parents[v]
@@ -130,13 +135,11 @@ class Dag:
         return out
 
     def subgraph(self, nodes: Iterable) -> "Dag":
-        """Induced subgraph; node order inherited from this graph."""
+        """Induced subgraph, built from the kept nodes' parent lists only;
+        node order inherited from this graph."""
         keep = set(nodes)
-        for v in keep:
-            self.index(v)
-        ids = tuple(v for v in self.node_ids if v in keep)
-        sub_edges = [(u, v) for (u, v) in self.edges if u in keep and v in keep]
-        return Dag(ids, sub_edges)
+        ids = self.sort(keep)
+        return Dag(ids, [(p, v) for v in ids for p in self._parents[v] if p in keep])
 
     # -- topological order -------------------------------------------------
 
@@ -330,9 +333,7 @@ def d_separated(dag: Dag, a: Iterable, b: Iterable, z: Iterable = ()) -> bool:
     a = frozenset(a)
     b = frozenset(b)
     z = frozenset(z)
-    for group in (a, b, z):
-        for v in group:
-            dag.index(v)
+    dag.check_nodes(a | b | z)
     if a & b or a & z or b & z:
         raise ArgumentError("d-separation query requires pairwise disjoint node sets")
     if not a or not b:

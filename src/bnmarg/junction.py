@@ -45,23 +45,14 @@ class CliqueTree:
     cliques: tuple
     tree_edges: tuple
     potentials: tuple
-    factor_nodes: tuple
     cards: Mapping
-    evidence: Optional[Mapping] = None
 
-    def clique_containing(self, family: Iterable) -> int:
-        """Smallest clique covering the family; ties fall to canonical content."""
-        fam = set(family)
-        pos = {v: k for k, v in enumerate(self.nodes)}
-        best = -1
-        best_key = None
-        for i, c in enumerate(self.cliques):
-            if fam <= set(c):
-                key = (len(c), tuple(pos[v] for v in c), i)
-                if best_key is None or key < best_key:
-                    best = i
-                    best_key = key
-        return best
+
+def _smallest_clique(clique_sets: list, family: tuple) -> int:
+    """Index of the smallest clique covering the family, -1 if none does; ties
+    fall to the first, which is the canonically smallest content."""
+    covering = (i for i, c in enumerate(clique_sets) if c.issuperset(family))
+    return min(covering, key=lambda i: len(clique_sets[i]), default=-1)
 
 
 def _max_cliques(node_ids, chordal, order) -> list[tuple]:
@@ -143,15 +134,11 @@ def build_junction_tree(
         node_set = set(dag.node_ids)
     else:
         node_set = set(nodes)
-        for v in node_set:
-            dag.index(v)
+        dag.check_nodes(node_set)
     scope = dag.sort(node_set)
     if not scope:
         raise ArgumentError("empty node set")
-    if factor_nodes is None:
-        factors = set(scope)
-    else:
-        factors = set(factor_nodes)
+    factors = set(scope) if factor_nodes is None else set(factor_nodes)
     if not factors <= node_set:
         raise ArgumentError("factor_nodes must be a subset of nodes")
 
@@ -179,40 +166,23 @@ def build_junction_tree(
         sep = tuple(v for v in cliques[i] if v in set(cliques[j]))
         tree.append((i, j, sep))
 
-    index = {v: k for k, v in enumerate(sub.node_ids)}
-    potentials = [
-        np.ones([bn.cardinalities[v] for v in c], dtype=float) for c in cliques
-    ]
-    jt = CliqueTree(
+    clique_sets = [set(c) for c in cliques]
+    potentials = [np.ones([bn.cardinalities[v] for v in c], dtype=float) for c in cliques]
+    for v in sub.node_ids:
+        if v not in factors:
+            continue
+        family, table = bn.family_table(v)
+        k = _smallest_clique(clique_sets, family)
+        if k < 0:
+            raise InternalConsistencyError(f"no clique contains family of {v!r}")
+        potentials[k] *= _expand(table, family, cliques[k], bn.cardinalities)
+    return CliqueTree(
         nodes=scope,
         cliques=tuple(cliques),
         tree_edges=tuple(tree),
         potentials=tuple(potentials),
-        factor_nodes=dag.sort(factors),
         cards={v: bn.cardinalities[v] for v in scope},
     )
-
-    pots = [p.copy() for p in potentials]
-    for v in sub.node_ids:
-        if v not in factors:
-            continue
-        family = dag.sort(set(dag.parents(v)) | {v})
-        k = jt.clique_containing(family)
-        if k < 0:
-            raise InternalConsistencyError(f"no clique contains family of {v!r}")
-        table = _family_table(bn, v, family)
-        pots[k] *= _expand(table, family, jt.cliques[k], bn.cardinalities)
-    return replace(jt, potentials=tuple(pots))
-
-
-def _family_table(bn: CategoricalBN, v, family: tuple) -> np.ndarray:
-    """CPT of v as an array whose axes follow the canonical family order."""
-    ps = bn.dag.parents(v)
-    shape = [bn.cardinalities[p] for p in ps] + [bn.cardinalities[v]]
-    t = bn.cpts[v].reshape(shape)
-    current = tuple(ps) + (v,)
-    perm = [current.index(u) for u in family]
-    return np.transpose(t, perm)
 
 
 def _expand(table: np.ndarray, vars_: tuple, clique: tuple, cards: Mapping) -> np.ndarray:
@@ -221,32 +191,18 @@ def _expand(table: np.ndarray, vars_: tuple, clique: tuple, cards: Mapping) -> n
     Both variable tuples are in canonical order, so inserting singleton axes
     suffices; no transposition is needed.
     """
-    shape = [cards[v] if v in set(vars_) else 1 for v in clique]
+    present = set(vars_)
+    shape = [cards[v] if v in present else 1 for v in clique]
     return table.reshape(shape)
 
 
-def incorporate_evidence(
-    jt: CliqueTree, values: Mapping, ones_nodes: Iterable = ()
-) -> CliqueTree:
+def incorporate_evidence(jt: CliqueTree, values: Mapping) -> CliqueTree:
     """Zero every potential entry inconsistent with the observed values.
 
-    ``ones_nodes`` are observed boundary nodes whose CPTs must contribute the
-    constant one; that is realized at build time by leaving them out of
-    ``factor_nodes``, which this function verifies.  Returns a new tree; the
-    input is not modified.
+    Returns a new tree; the input is not modified.
     """
-    ones = set(ones_nodes)
-    scope = set(jt.nodes)
-    if not set(values) <= scope:
+    if not set(values) <= set(jt.nodes):
         raise ArgumentError("evidence names nodes outside the clique tree scope")
-    if not ones <= set(values):
-        raise ArgumentError("ones_nodes must all be observed")
-    clash = ones & set(jt.factor_nodes)
-    if clash:
-        raise ArgumentError(
-            f"ones_nodes {sorted(map(repr, clash))} had their CPTs multiplied in; "
-            "rebuild the tree with them excluded from factor_nodes"
-        )
     pots = []
     for c, pot in zip(jt.cliques, jt.potentials):
         pot = pot.copy()
@@ -260,7 +216,7 @@ def incorporate_evidence(
             sel[axis] = np.arange(jt.cards[v]) != s
             pot[tuple(sel)] = 0.0
         pots.append(pot)
-    return replace(jt, potentials=tuple(pots), evidence=dict(values))
+    return replace(jt, potentials=tuple(pots))
 
 
 def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:

@@ -7,7 +7,10 @@ node order and the last parent least significant, i.e. row index
 
     row = x[p1]*C[p2]*...*C[pk] + x[p2]*C[p3]*...*C[pk] + ... + x[pk]
 
-for parents p1 < p2 < ... < pk in canonical order.
+for parents p1 < p2 < ... < pk in canonical order.  Two methods read this
+layout, and nothing outside this module repeats it: ``CategoricalBN.row_index``
+looks rows up for one assignment or a vector of them, and
+``CategoricalBN.family_table`` views a CPT with one axis per family member.
 
 All probability accumulation happens in log space; sums of probabilities go
 through a stable log-sum-exp reduction.
@@ -125,11 +128,27 @@ class CategoricalBN:
             strides[i] = strides[i + 1] * self.cardinalities[ps[i + 1]]
         return tuple(strides)
 
-    def row_index(self, v, assignment: Mapping) -> int:
+    def row_index(self, v, assignment: Mapping):
+        """Row of v's CPT for the parent states in ``assignment``: ints, or
+        int arrays of one shape, which give an array of rows."""
         row = 0
         for p, s in zip(self.dag.parents(v), self.parent_strides(v)):
-            row += s * assignment[p]
+            row = row + s * assignment[p]
         return row
+
+    def family_table(self, v) -> tuple[tuple, np.ndarray]:
+        """v's family in canonical order, and a view of v's CPT with one axis
+        per family member in that order."""
+        ps = self.dag.parents(v)
+        cards = self.cardinalities
+        table = self.cpts[v].reshape([cards[p] for p in ps] + [cards[v]])
+        # parents are canonically sorted; v's axis moves to its canonical slot
+        at = len(ps)
+        while at and self.dag.index(ps[at - 1]) > self.dag.index(v):
+            at -= 1
+        if at == len(ps):
+            return ps + (v,), table
+        return ps[:at] + (v,) + ps[at:], np.moveaxis(table, -1, at)
 
     def restrict(self, nodes: Iterable) -> "CategoricalBN":
         """Induced sub-network; every retained node must keep all its parents."""
@@ -178,10 +197,11 @@ def _check_full_assignment(bn: CategoricalBN, x: Mapping) -> None:
     for v in bn.node_ids:
         if v not in x:
             raise InvalidAssignmentError(f"assignment is missing node {v!r}")
-    _check_partial_assignment(bn, x)
+    validate_evidence(bn, x)
 
 
-def _check_partial_assignment(bn: CategoricalBN, e: Mapping) -> None:
+def validate_evidence(bn: CategoricalBN, e: Mapping) -> None:
+    """Raise InvalidAssignmentError unless e maps known nodes to valid states."""
     for v, s in e.items():
         if v not in bn.dag:
             raise InvalidAssignmentError(f"assignment names unknown node {v!r}")
@@ -193,24 +213,27 @@ def _check_partial_assignment(bn: CategoricalBN, e: Mapping) -> None:
             )
 
 
-def validate_evidence(bn: CategoricalBN, e: Mapping) -> None:
-    """Raise InvalidAssignmentError unless e maps known nodes to valid states."""
-    _check_partial_assignment(bn, e)
-
-
-def log_joint_probability(bn: CategoricalBN, x: Mapping) -> float:
-    """Log of the joint probability of one complete assignment."""
-    _check_full_assignment(bn, x)
+def log_cpt_product(bn: CategoricalBN, nodes: Iterable, x: Mapping) -> float:
+    """Sum over ``nodes`` of log P(x[v] | x[pa(v)]); -inf at the first entry
+    that is not positive.  ``x`` must hold every node and parent named."""
     total = 0.0
-    for v in bn.node_ids:
+    for v in nodes:
         p = float(bn.cpts[v][bn.row_index(v, x), x[v]])
-        if p == 0.0:
+        if p <= 0.0:
             return -math.inf
         total += math.log(p)
     return total
 
 
+def log_joint_probability(bn: CategoricalBN, x: Mapping) -> float:
+    """Log of the joint probability of one complete assignment."""
+    _check_full_assignment(bn, x)
+    return log_cpt_product(bn, bn.node_ids, x)
+
+
 def _log_cpt(t: np.ndarray) -> np.ndarray:
+    """Entrywise log, -inf at zeros; it can differ in the last bit from the
+    ``math.log`` of one entry that :func:`log_cpt_product` takes."""
     with np.errstate(divide="ignore"):
         return np.log(t)
 
@@ -226,7 +249,7 @@ def log_enumerate_marginal(
     checked against.  Free state spaces above ``bits_cap`` binary-variable
     equivalents raise CapacityError.
     """
-    _check_partial_assignment(bn, e)
+    validate_evidence(bn, e)
     free = [v for v in bn.node_ids if v not in e]
     bits = sum(math.log2(bn.cardinalities[v]) for v in free)
     if bits > bits_cap:
@@ -283,14 +306,14 @@ def sample_forward_array(bn: CategoricalBN, n: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     cols = {v: i for i, v in enumerate(bn.node_ids)}
     out = np.zeros((n, len(bn.node_ids)), dtype=np.int64)
+    drawn = {}
     for v in bn.dag._topo:
         card = bn.cardinalities[v]
-        rows = np.zeros(n, dtype=np.int64)
-        for p, stride in zip(bn.dag.parents(v), bn.parent_strides(v)):
-            rows += stride * out[:, cols[p]]
-        cum = np.cumsum(bn.cpts[v][rows], axis=1)
+        # a root's row is the int 0: its one CPT row broadcasts over the draws
+        cum = np.cumsum(bn.cpts[v][bn.row_index(v, drawn)], axis=-1)
         u = rng.random(n)
-        out[:, cols[v]] = np.minimum((cum < u[:, None]).sum(axis=1), card - 1)
+        drawn[v] = np.minimum((cum < u[:, None]).sum(axis=1), card - 1)
+        out[:, cols[v]] = drawn[v]
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ArgumentError, InternalConsistencyError
-from .network import CategoricalBN, sample_forward_array
+from .network import CategoricalBN, _log_cpt, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -132,19 +132,9 @@ def _reduced_factor(bn: CategoricalBN, v, evidence: Mapping):
 
     The table's axes follow the canonical order of the free family members.
     """
-    dag = bn.dag
-    ps = dag.parents(v)
-    cards = bn.cardinalities
-    table = bn.cpts[v].reshape([cards[p] for p in ps] + [cards[v]])
-    table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in ps + (v,))]
-    free_ps = [p for p in ps if p not in evidence]
-    if v in evidence:
-        return tuple(free_ps), table
-    # parents are canonically sorted; v's axis moves to its canonical slot
-    at = sum(1 for p in free_ps if dag.index(p) < dag.index(v))
-    if at < len(free_ps):
-        table = np.moveaxis(table, -1, at)
-    return tuple(free_ps[:at]) + (v,) + tuple(free_ps[at:]), table
+    family, table = bn.family_table(v)
+    table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in family)]
+    return tuple(u for u in family if u not in evidence), table
 
 
 def _normalized(rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -180,8 +170,7 @@ def loopy_bp(
     """
     dag = bn.dag
     scope = set(dag.node_ids) if nodes is None else set(nodes)
-    for v in scope:
-        dag.index(v)
+    dag.check_nodes(scope)
     factors_of = set(scope) if factor_nodes is None else set(factor_nodes)
     if not factors_of <= scope:
         raise ArgumentError("factor_nodes must lie inside the scope")
@@ -286,23 +275,16 @@ def _log_weight_terms(
     bn: CategoricalBN, factor_nodes: Iterable, samples: Mapping, evidence: Mapping, m: int
 ) -> np.ndarray:
     """Sum of log CPT lookups for the given factor nodes, vectorized over samples."""
+    states = {**samples, **evidence}
     logw = np.zeros(m)
     for v in bn.dag.sort(set(factor_nodes)):
-        card = bn.cardinalities[v]
-        sv = np.int64(evidence[v]) if v in evidence else samples[v]
-        row = np.int64(0)
-        for p, stride in zip(bn.dag.parents(v), bn.parent_strides(v)):
-            if p in evidence:
-                row = row + stride * np.int64(evidence[p])
-            elif p in samples:
-                row = row + stride * samples[p]
-            else:
-                raise InternalConsistencyError(
-                    f"factor {v!r} depends on {p!r}, which is neither sampled nor observed"
-                )
-        with np.errstate(divide="ignore"):
-            logs = np.log(bn.cpts[v]).ravel()
-        logw = logw + logs[np.asarray(row * card + sv)]
+        try:
+            row = bn.row_index(v, states)
+        except KeyError as exc:
+            raise InternalConsistencyError(
+                f"factor {v!r} depends on {exc.args[0]!r}, which is neither sampled nor observed"
+            ) from None
+        logw = logw + _log_cpt(bn.cpts[v])[row, states[v]]
     return logw
 
 

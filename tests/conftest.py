@@ -65,6 +65,13 @@ def sparse_bn(rng, n):
     return CategoricalBN(bn.dag, bn.cardinalities, cpts)
 
 
+def reordered(rng, bn):
+    """``bn`` with its node list shuffled, so parents may follow their children
+    in canonical order; CPT rows are then read with the new parent order."""
+    ids = tuple(bn.node_ids[i] for i in rng.permutation(len(bn)))
+    return CategoricalBN(Dag(ids, bn.dag.edges), bn.cardinalities, bn.cpts)
+
+
 def brute_marginal(bn, evidence):
     """P(evidence) by plain iteration over every complete assignment."""
     free = [v for v in bn.node_ids if v not in evidence]

@@ -112,7 +112,7 @@ def test_subset_marginal_empty_child_boundary():
     bn = CategoricalBN(dag, {"E": 2, "C": 2}, cpts)
     b = subset_boundaries(dag, {"C"}, {"E"})
     assert b.e_ch == ()
-    got = _log_exact(bn, {"C", "E"}, {"C"}, {"E": 1}, ("E",), 2**20)
+    got = _log_exact(bn, {"C", "E"}, {"C"}, {"E": 1}, 2**20)
     assert math.exp(got) == pytest.approx(1.0)
 
 
@@ -138,7 +138,7 @@ def test_root_choice_invariance():
     bn = rand_bn(rng, 8, 0.4, cards=(2,))
     e = rand_evidence(rng, bn, 3)
     jt = build_junction_tree(bn)
-    jt = incorporate_evidence(jt, e, ())
+    jt = incorporate_evidence(jt, e)
     values = [log_tree_sum(jt, root=r) for r in range(len(jt.cliques))]
     for v in values[1:]:
         assert v == pytest.approx(values[0], abs=1e-12)
@@ -162,7 +162,7 @@ def test_incorporate_evidence_masking():
     }
     bn = CategoricalBN(dag, {"A": 2, "B": 2}, cpts)
     jt = build_junction_tree(bn)
-    observed = incorporate_evidence(jt, {"B": 1}, ())
+    observed = incorporate_evidence(jt, {"B": 1})
     (pot,) = observed.potentials
     clique = observed.cliques[0]
     b_axis = clique.index("B")
@@ -171,9 +171,7 @@ def test_incorporate_evidence_masking():
     assert np.all(zeroed == 0.0)
     assert np.all(kept > 0.0)
     with pytest.raises(ArgumentError):
-        incorporate_evidence(jt, {"Z": 0}, ())
-    with pytest.raises(ArgumentError):
-        incorporate_evidence(jt, {"B": 1}, ("A",))  # ones node must be observed
+        incorporate_evidence(jt, {"Z": 0})
 
 
 def test_capacity_error():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from bnmarg.network import (
     validate,
 )
 
-from conftest import brute_marginal, rand_bn, rand_evidence
+from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
 
 
 def joint_probability(bn, x):
@@ -221,3 +222,78 @@ def test_sample_forward_frequency_matches_joint():
     hits = int(np.sum(np.all(arr == 0, axis=1)))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) < 3 * sigma
+
+
+def _pin_networks():
+    """Sparse networks (cardinalities 2-5, ~40 % zero CPT entries, some
+    deterministic rows); every other one has its node list shuffled."""
+    for k in range(12):
+        rng = np.random.default_rng(8000 + k)
+        bn = sparse_bn(rng, int(rng.integers(3, 10)))
+        yield k, rng, (reordered(rng, bn) if k % 2 else bn)
+
+
+# per network: repr of log_joint_probability on three forward draws and one
+# uniformly random assignment, and a digest of 40 forward draws; recorded
+# (numpy 2.4) before the CPT row layout moved behind CategoricalBN
+LOG_JOINT_AND_DRAWS_PINNED = {
+    0: (
+        ("-0.43690333802655645", "-1.6671670911710017", "-0.43690333802655645", "-inf"),
+        "d4a727a438f10542",
+    ),
+    1: (
+        ("-2.999652106379343", "-0.5184519511770639", "-1.5365459328366622", "-inf"),
+        "904e398fee8c9f57",
+    ),
+    2: (
+        ("-1.3607003671026772", "-1.3607003671026772", "-0.3568912280517639", "-inf"),
+        "bf1a93740691bc77",
+    ),
+    3: (
+        ("-1.6687497529394246", "-2.021638954617302", "-0.8816107441629074", "-inf"),
+        "ba19e97594a55857",
+    ),
+    4: (
+        ("-1.3549402159599615", "-1.3160752127375432", "-1.3549402159599615", "-inf"),
+        "e2fba5e5950af8fe",
+    ),
+    5: (
+        ("-3.4195834683248005", "-3.7630193683843487", "-4.1055826206590424", "-inf"),
+        "93670bc6892a7ded",
+    ),
+    6: (
+        ("-1.693011992122511", "-1.92944569497012", "-1.92944569497012", "-inf"),
+        "4e49ed39bfef0d72",
+    ),
+    7: (
+        ("-1.7079659253413748", "-2.0007676625590785", "-2.0007676625590785", "-inf"),
+        "3c8d32391308411b",
+    ),
+    8: (
+        ("-1.9320540692788892", "-4.53697616925357", "-2.416720594141983", "-inf"),
+        "b372286bf568b788",
+    ),
+    9: (
+        ("-4.098308249967248", "-4.592869815032208", "-4.517930559336452", "-inf"),
+        "b4673d3e487b4a87",
+    ),
+    10: (
+        ("-2.9216959259998534", "-5.347967229688048", "-4.651238080765896", "-inf"),
+        "8e376e03847280ba",
+    ),
+    11: (
+        ("-4.9138283772788265", "-3.9907934487734984", "-3.4408637120302457", "-inf"),
+        "9e726775e5400c34",
+    ),
+}
+
+
+def test_log_joint_and_forward_draws_are_pinned():
+    got = {}
+    for k, rng, bn in _pin_networks():
+        xs = sample_forward(bn, 3, seed=k)
+        xs.append({v: int(rng.integers(bn.cardinalities[v])) for v in bn.node_ids})
+        draws = sample_forward_array(bn, 40, np.random.default_rng(k))
+        digest = hashlib.sha256(draws.tobytes()).hexdigest()[:16]
+        got[k] = (tuple(repr(log_joint_probability(bn, x)) for x in xs), digest)
+    assert got == LOG_JOINT_AND_DRAWS_PINNED

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from bnmarg.decompose import decompose, relevant_subgraph
 from bnmarg.engine import SgsConfig, marginal
 from bnmarg.errors import ArgumentError
 from bnmarg.graphs import Dag
-from bnmarg.junction import _family_table
 from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability
 from bnmarg.sampling import (
     ImportanceDistribution,
@@ -17,7 +17,7 @@ from bnmarg.sampling import (
     loopy_bp,
 )
 
-from conftest import brute_marginal, rand_bn, rand_evidence, sparse_bn
+from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
 
 
 def _estimate(bn, e, method, sampler):
@@ -42,6 +42,16 @@ def _polytree_bn(rng, n):
         t = rng.random((rows, cards[v])) + 1e-3
         cpts[v] = t / t.sum(axis=1, keepdims=True)
     return CategoricalBN(dag, cards, cpts)
+
+
+def _family_table(bn, v, family):
+    """CPT of v as an array whose axes follow the canonical family order."""
+    ps = bn.dag.parents(v)
+    shape = [bn.cardinalities[p] for p in ps] + [bn.cardinalities[v]]
+    t = bn.cpts[v].reshape(shape)
+    current = tuple(ps) + (v,)
+    perm = [current.index(u) for u in family]
+    return np.transpose(t, perm)
 
 
 def _reference_reduced_factor(bn, v, evidence):
@@ -159,6 +169,45 @@ def test_loopy_bp_matches_reference_message_loop():
                     np.testing.assert_allclose(q.probs[v], want[v], rtol=0, atol=1e-12)
                 checked += 1
     assert checked > 300
+
+
+# per network, a digest of the bytes of every belief over the whole network
+# and over each subset scope; recorded (numpy 2.4) before the CPT row layout
+# moved behind CategoricalBN
+LOOPY_BP_PINNED = (
+    "743385e25b1fe91d",
+    "8dc845f879c6083e",
+    "c61b9e07d494b2ba",
+    "2a5d979ec7d0972c",
+    "63ed8ac1933e5c2d",
+    "41c398b216113f2f",
+    "1ac95c0ab068d311",
+    "2b5b9ce47322067f",
+    "3efb49457d54ea62",
+    "76e746ee4cb3e3c5",
+    "4c6d9089783561f1",
+    "269840b550c1f432",
+)
+
+
+def test_loopy_bp_beliefs_are_pinned():
+    got = []
+    for k in range(12):
+        rng = np.random.default_rng(8100 + k)
+        bn = sparse_bn(rng, int(rng.integers(3, 12)))
+        if k % 2:  # parents may follow their children in canonical order
+            bn = reordered(rng, bn)
+        n = len(bn.node_ids)
+        e = rand_evidence(rng, bn, (0, 1, n // 2, n - 1)[k % 4])
+        cfg = SamplerConfig(sample_count=1, lbp_iterations=(1, 5, 50)[k % 3])
+        h = hashlib.sha256()
+        for net, ev, nodes, factors in _bp_scopes(bn, e):
+            q = loopy_bp(net, ev, cfg, nodes, factors)
+            h.update(repr(q.nodes).encode())
+            for v in q.nodes:
+                h.update(q.probs[v].tobytes())
+        got.append(h.hexdigest()[:16])
+    assert tuple(got) == LOOPY_BP_PINNED
 
 
 # log values of ("lbp-is", "sgs" with n_max=0) recorded before loopy_bp and
