@@ -107,8 +107,8 @@ def evidence_only_factor(bn: CategoricalBN, e_prime, evidence: Mapping) -> float
 
     Every node in e_prime must have all parents observed; the factor is then
     prod_v P(X_v = e[v] | X_pa(v) = e[pa(v)]) with no summation at all.
+    ``evidence`` must already have passed ``validate_evidence``.
     """
-    validate_evidence(bn, evidence)
     for v in e_prime:
         if v not in evidence:
             raise ArgumentError(f"leftover node {v!r} is not observed")

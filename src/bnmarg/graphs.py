@@ -10,11 +10,12 @@ assembled.
 from __future__ import annotations
 
 import heapq
+import math
 import sys
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import ArgumentError, CycleError, UnknownNodeError
+from .errors import ArgumentError, CapacityError, CycleError, UnknownNodeError
 
 NodeId = Hashable
 
@@ -249,8 +250,15 @@ class UndirectedGraph:
 
 @dataclass(frozen=True)
 class Triangulation:
-    chordal: UndirectedGraph
+    """Result of :func:`triangulate`.
+
+    ``elimination_order`` lists the node ids in elimination order; ``cliques``
+    are the maximal cliques of the chordal completion, each a tuple in node
+    order, sorted by their position tuples.
+    """
+
     elimination_order: tuple
+    cliques: tuple
 
 
 def markov_blanket(dag: Dag, v) -> tuple:
@@ -275,51 +283,95 @@ def moralize(dag: Dag) -> UndirectedGraph:
     return UndirectedGraph(dag.node_ids, edges)
 
 
-def triangulate(graph: UndirectedGraph) -> Triangulation:
-    """Greedy min-fill triangulation.
+def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:
+    """Moral graph of the subgraph of ``dag`` induced by ``nodes``, read off
+    the parent lists: entry i holds the positions (in ``nodes``) of the
+    neighbours of ``nodes[i]``."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    adj = [set() for _ in nodes]
+    for i, v in enumerate(nodes):
+        family = [pos[p] for p in dag._parents[v] if p in pos]
+        family.append(i)
+        for a in family:
+            adj[a].update(family)
+    for i, ns in enumerate(adj):
+        ns.discard(i)
+    return adj
 
-    Nodes are eliminated in the order that greedily minimises the number of
-    fill edges, breaking ties by smaller remaining degree and then by
-    canonical position.  Returns the chordal supergraph (input plus fill
-    edges) together with the elimination order, which is a perfect
-    elimination order of the result.
+
+def _fill_count(adj: list, v: int) -> int:
+    """Number of missing edges among the neighbours of v."""
+    ns = adj[v]
+    d = len(ns)
+    return d * (d - 1) // 2 - sum(len(adj[u] & ns) for u in ns) // 2
+
+
+def triangulate(
+    node_ids: Sequence[NodeId], adjacency: Sequence[set], cards: Sequence[int], table_cap: float
+) -> Triangulation:
+    """Greedy min-fill elimination, reading the cliques off as they form.
+
+    ``adjacency[i]`` holds the neighbour positions of ``node_ids[i]``, whose
+    order is canonical.  Each step eliminates the node with the fewest fill
+    edges, breaking ties by smaller remaining degree and then by canonical
+    position.  Only the keys that can change are recomputed: the eliminated
+    node's neighbours get a fresh fill count, and any other node loses one
+    for each new fill edge between two of its neighbours.
+
+    The elimination clique of each step (the node and its remaining
+    neighbours) is recorded as it forms, and one whose joint state count
+    (``cards`` by position) exceeds ``table_cap`` raises CapacityError at
+    once.  Every maximal clique of the chordal completion is an elimination
+    clique and every elimination clique lies in a maximal one, so this
+    refuses exactly the graphs whose largest clique table exceeds the cap.
     """
-    adj = {v: set(graph.neighbors(v)) for v in graph.node_ids}
-    remaining = set(graph.node_ids)
-    fill_edges = set()
+    n = len(node_ids)
+    adj = [set(ns) for ns in adjacency]
+    fill = [_fill_count(adj, v) for v in range(n)]
+    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    done = [False] * n
     order = []
+    holders = [[] for _ in range(n)]  # the earlier elimination cliques holding each node
+    maximal = []
+    while heap:
+        f, d, v = heapq.heappop(heap)
+        if done[v] or f != fill[v] or d != len(adj[v]):
+            continue  # superseded key
+        ns = adj[v]
+        clique = frozenset(ns | {v})
+        if math.prod(cards[u] for u in clique) > table_cap:
+            members = tuple(node_ids[u] for u in sorted(clique))
+            raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)")
+        # a later clique lacks v, so only an earlier one holding v can contain this one
+        if not any(clique <= c for c in holders[v]):
+            maximal.append(tuple(sorted(clique)))
+        for u in ns:
+            holders[u].append(clique)
+        done[v] = True
+        order.append(node_ids[v])
 
-    def fill_count(v) -> int:
-        ns = [u for u in adj[v] if u in remaining]
-        cnt = 0
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                if ns[j] not in adj[ns[i]]:
-                    cnt += 1
-        return cnt
+        fills = []
+        for a in ns:
+            adj[a].discard(v)
+            fills.extend((a, b) for b in ns - adj[a] if a < b)
+        for a, b in fills:
+            adj[a].add(b)
+            adj[b].add(a)
+        touched = set(ns)
+        for a, b in fills:
+            for w in adj[a] & adj[b]:
+                if w not in ns:
+                    fill[w] -= 1
+                    touched.add(w)
+        for u in ns:
+            fill[u] = _fill_count(adj, u)
+        for u in touched:
+            heapq.heappush(heap, (fill[u], len(adj[u]), u))
 
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (
-                fill_count(v),
-                sum(1 for u in adj[v] if u in remaining),
-                graph.index(v),
-            ),
-        )
-        ns = [u for u in adj[best] if u in remaining]
-        for i in range(len(ns)):
-            for j in range(i + 1, len(ns)):
-                a, b = ns[i], ns[j]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    fill_edges.add((a, b))
-        remaining.discard(best)
-        order.append(best)
-
-    chordal = UndirectedGraph(graph.node_ids, set(graph.edges) | fill_edges)
-    return Triangulation(chordal=chordal, elimination_order=tuple(order))
+    maximal.sort()
+    cliques = tuple(tuple(node_ids[u] for u in c) for c in maximal)
+    return Triangulation(elimination_order=tuple(order), cliques=cliques)
 
 
 def d_separated(dag: Dag, a: Iterable, b: Iterable, z: Iterable = ()) -> bool:

@@ -1,11 +1,15 @@
 """Junction-tree inference for evidence sums over small variable groups.
 
-The pipeline is the classical one: moralize the (sub)graph, triangulate it
-greedily, read the maximal cliques off the elimination order, join them by a
-maximum-sepset-weight spanning tree, multiply every requested CPT into the
-smallest clique containing its family, zero out table entries that contradict
-the observed evidence, and run one collect pass of sum-product messages to a
-root whose belief then sums to the target probability.
+The pipeline is the classical one, with the first three steps done in a
+single elimination pass: the moral graph of the scope is read off the parent
+lists, greedy min-fill eliminates its nodes, and each elimination clique is
+recorded as it forms, so the maximal cliques come out of the same pass and a
+clique whose table would exceed the cap stops the build at once.  The
+cliques are then joined by a maximum-sepset-weight spanning tree, every
+requested CPT is multiplied into the smallest clique containing its family,
+table entries that contradict the observed evidence are zeroed, and one
+collect pass of sum-product messages runs to a root whose belief then sums
+to the target probability.
 
 Boundary evidence nodes whose CPTs must act as the constant one (their
 parents live outside the subgraph) are handled by simply not multiplying
@@ -24,8 +28,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, InternalConsistencyError
-from .graphs import moralize, triangulate
+from .errors import ArgumentError, InternalConsistencyError
+from .graphs import moral_adjacency, triangulate
 from .network import CategoricalBN
 
 DEFAULT_TABLE_CAP = 2**20
@@ -53,29 +57,6 @@ def _smallest_clique(clique_sets: list, family: tuple) -> int:
     fall to the first, which is the canonically smallest content."""
     covering = (i for i, c in enumerate(clique_sets) if c.issuperset(family))
     return min(covering, key=lambda i: len(clique_sets[i]), default=-1)
-
-
-def _max_cliques(node_ids, chordal, order) -> list[tuple]:
-    index = {v: i for i, v in enumerate(node_ids)}
-    eliminated = set()
-    raw = []
-    for v in order:
-        members = {v} | {u for u in chordal.neighbors(v) if u not in eliminated}
-        raw.append(frozenset(members))
-        eliminated.add(v)
-    # drop cliques contained in another one
-    keep = []
-    for c in raw:
-        if not any(c < d for d in raw):
-            keep.append(c)
-    uniq = []
-    seen = set()
-    for c in keep:
-        if c not in seen:
-            seen.add(c)
-            uniq.append(tuple(sorted(c, key=index.__getitem__)))
-    uniq.sort(key=lambda c: tuple(index[v] for v in c))
-    return uniq
 
 
 def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
@@ -126,8 +107,13 @@ def build_junction_tree(
     ``factor_nodes`` names the nodes whose CPTs are multiplied into the
     potentials (default: all of ``nodes``); each such node's family must lie
     inside ``nodes``.  The product of all potentials therefore equals the
-    product of exactly the requested CPTs.  A clique whose joint state count
-    exceeds ``table_cap`` raises CapacityError before any table is allocated.
+    product of exactly the requested CPTs.
+
+    The cliques come from one min-fill elimination pass over the scope's
+    moral graph (:func:`bnmarg.graphs.triangulate`), which raises
+    CapacityError as soon as an elimination clique's joint state count
+    exceeds ``table_cap``: before the rest of the graph is eliminated and
+    before any table is allocated.
     """
     dag = bn.dag
     if nodes is None:
@@ -142,24 +128,14 @@ def build_junction_tree(
     if not factors <= node_set:
         raise ArgumentError("factor_nodes must be a subset of nodes")
 
-    sub = dag.subgraph(scope)
     for v in factors:
         if not set(dag.parents(v)) <= node_set:
             raise ArgumentError(
                 f"family of factor node {v!r} reaches outside the subgraph"
             )
 
-    tri = triangulate(moralize(sub))
-    cliques = _max_cliques(sub.node_ids, tri.chordal, tri.elimination_order)
-
-    for c in cliques:
-        size = 1
-        for v in c:
-            size *= bn.cardinalities[v]
-            if size > table_cap:
-                raise CapacityError(
-                    f"clique {c} exceeds table cap ({table_cap} joint states)"
-                )
+    cards = [bn.cardinalities[v] for v in scope]
+    cliques = triangulate(scope, moral_adjacency(dag, scope), cards, table_cap).cliques
 
     tree = []
     for i, j in _spanning_tree(cliques):
@@ -168,7 +144,7 @@ def build_junction_tree(
 
     clique_sets = [set(c) for c in cliques]
     potentials = [np.ones([bn.cardinalities[v] for v in c], dtype=float) for c in cliques]
-    for v in sub.node_ids:
+    for v in scope:
         if v not in factors:
             continue
         family, table = bn.family_table(v)

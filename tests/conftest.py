@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from bnmarg.graphs import Dag
+from bnmarg.graphs import Dag, UndirectedGraph
 from bnmarg.network import CategoricalBN
 
 
@@ -127,6 +127,52 @@ def path_d_separated(dag, a, b, z):
                 if _path_active(dag, path, z):
                     return False
     return True
+
+
+def reference_min_fill(graph):
+    """Greedy min-fill on an UndirectedGraph by the plain route: every
+    remaining node's key (fill count, remaining degree, canonical position)
+    is recomputed at each step, the chordal graph is built from the fill
+    edges, and the maximal cliques are read off it afterwards.
+
+    Returns (elimination order, maximal cliques as canonical tuples sorted
+    by their position tuples).
+    """
+    adj = {v: set(graph.neighbors(v)) for v in graph.node_ids}
+    remaining = set(graph.node_ids)
+    fill_edges = set()
+    order = []
+
+    def fill_count(v):
+        ns = [u for u in adj[v] if u in remaining]
+        return sum(
+            1 for i in range(len(ns)) for j in range(i + 1, len(ns)) if ns[j] not in adj[ns[i]]
+        )
+
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda v: (fill_count(v), sum(1 for u in adj[v] if u in remaining), graph.index(v)),
+        )
+        ns = [u for u in adj[best] if u in remaining]
+        for i in range(len(ns)):
+            for j in range(i + 1, len(ns)):
+                a, b = ns[i], ns[j]
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    fill_edges.add((a, b))
+        remaining.discard(best)
+        order.append(best)
+    chordal = UndirectedGraph(graph.node_ids, set(graph.edges) | fill_edges)
+
+    eliminated = set()
+    raw = []
+    for v in order:
+        raw.append(frozenset({v} | {u for u in chordal.neighbors(v) if u not in eliminated}))
+        eliminated.add(v)
+    cliques = {chordal.sort(c) for c in raw if not any(c < d for d in raw)}
+    return tuple(order), sorted(cliques, key=lambda c: tuple(map(graph.index, c)))
 
 
 def find_chordless_cycle(graph):

@@ -19,7 +19,7 @@ from bnmarg.graphs import Dag
 from bnmarg.network import CategoricalBN, log_joint_probability, sample_forward
 from bnmarg.sampling import SamplerConfig
 
-from conftest import brute_marginal, rand_bn, rand_evidence, sparse_bn
+from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
 
 
 def test_canonical_method_names_and_aliases():
@@ -246,16 +246,19 @@ def _pin_cases():
     rows) with empty, one-node, half and full evidence, every method at three
     n_max values, then a capacity fallback and per-subset overrides.
     """
-    for k in range(16):
+    for k in range(24):
         rng = np.random.default_rng(7000 + k)
         bn = sparse_bn(rng, int(rng.integers(4, 10)))
+        label = str(k)
+        if k >= 16:  # parents may follow their children in canonical order
+            bn, label = reordered(rng, bn), f"r{k}"
         e = rand_evidence(rng, bn, (0, 1, len(bn) // 2, len(bn))[k % 4])
         if k % 8 < 6:  # states of a forward draw: evidence of positive probability
             x = sample_forward(bn, 1, seed=k)[0]
             e = {v: x[v] for v in e}
         cfg = SgsConfig(n_max=(0, 4, 100)[k % 3], sampler=SamplerConfig(sample_count=60, seed=k))
         for method in METHODS:
-            yield f"{k}/{method}", bn, e, method, cfg
+            yield f"{label}/{method}", bn, e, method, cfg
     # two subsets split by the root evidence x: a chain a0-a1 whose cliques fit
     # a cap of 27 joint states, and a dense block b0..b4 whose cliques do not
     rng = np.random.default_rng(7100)
@@ -375,6 +378,47 @@ PINNED = {
     "15/lbp-is": ("-inf", "6069531589db2bfb"),
     "15/gs": ("-inf", "18603f194bc11fea"),
     "15/enum": ("-inf", "ee2151caf9f442e8"),
+    # recorded on the commit before the single-pass junction-tree build
+    "r16/sgs": ("0.0", "9d3fd02a18c16106"),
+    "r16/jt": ("0.0", "14221fd0b39cdf7f"),
+    "r16/lbp-is": ("0.0", "31fc955b633edd6f"),
+    "r16/gs": ("0.0", "a4cd84de5057d429"),
+    "r16/enum": ("0.0", "c69f42b23ac9287a"),
+    "r17/sgs": ("-0.6433057181217853", "9e3efbb5cd7f90c1"),
+    "r17/jt": ("-0.6433057181217852", "2ac743de529e584c"),
+    "r17/lbp-is": ("-0.6433057181217853", "a69337024af986a7"),
+    "r17/gs": ("-1.812002977458268", "064916102b45b8fe"),
+    "r17/enum": ("-0.6433057181217849", "a05e7958a828323d"),
+    "r18/sgs": ("-2.2272742228464573", "6cdcc882a5825e07"),
+    "r18/jt": ("-2.2272762228444574", "010c838c5eb84ea6"),
+    "r18/lbp-is": ("-2.2272742228464573", "90138979514d463e"),
+    "r18/gs": ("-2.23467507962932", "d513b0011932821b"),
+    "r18/enum": ("-2.2272762228444574", "696677b858a21447"),
+    "r19/sgs": ("-3.2712049081355645", "3e6b2ccfa46e3cfa"),
+    "r19/jt": ("-3.271204908135564", "d4f30321d0ef8363"),
+    "r19/lbp-is": ("-3.2712049081355645", "daff2866c9e1a961"),
+    "r19/gs": ("-3.2712049081355645", "0308ad0198fa73d2"),
+    "r19/enum": ("-3.2712049081355645", "fe378f684054fb0c"),
+    "r20/sgs": ("0.0", "9d3fd02a18c16106"),
+    "r20/jt": ("0.0", "d3495c1b835824dd"),
+    "r20/lbp-is": ("0.0", "44eb6526d08bc780"),
+    "r20/gs": ("0.0", "17557b6c17e2fd1c"),
+    "r20/enum": ("0.0", "035dabe49645c2ff"),
+    "r21/sgs": ("-1.0863217858284047", "7813cab050f9e65e"),
+    "r21/jt": ("-1.086324785823905", "192c4f5297c91750"),
+    "r21/lbp-is": ("-1.0863217858284047", "637ff8f082cebdf9"),
+    "r21/gs": ("-0.9225331912502008", "fcc6a02f8894951c"),
+    "r21/enum": ("-1.086324785823905", "06d66c3167184306"),
+    "r22/sgs": ("-4.6244544560641385", "d31644f6d67d5c46"),
+    "r22/jt": ("-4.624454456064138", "8cf6c9547de29e7b"),
+    "r22/lbp-is": ("-4.624452456066138", "ea030c45bc7f0d58"),
+    "r22/gs": ("-4.624450456068139", "6c908246bce65f9b"),
+    "r22/enum": ("-4.624454456064138", "ecd494a9c78fe9db"),
+    "r23/sgs": ("-inf", "3548fa058fbd9f8d"),
+    "r23/jt": ("-inf", "4676ea57272ee4fe"),
+    "r23/lbp-is": ("-inf", "6069531589db2bfb"),
+    "r23/gs": ("-inf", "18603f194bc11fea"),
+    "r23/enum": ("-inf", "ee2151caf9f442e8"),
     "cap/fallback": ("-3.916004732444881", "202741650df82e31"),
     "cap/exact": ("-4.041655074875752", "c7319c056461178a"),
     "sampled/all": ("-4.064556150722128", "9c6f17fad4f71616"),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,19 @@ from bnmarg.graphs import (
     UndirectedGraph,
     d_separated,
     markov_blanket,
+    moral_adjacency,
     moralize,
     triangulate,
 )
 
-from conftest import find_chordless_cycle, path_d_separated, rand_dag
+from conftest import (
+    find_chordless_cycle,
+    path_d_separated,
+    rand_bn,
+    rand_dag,
+    reference_min_fill,
+    reordered,
+)
 
 
 def chain():
@@ -138,35 +148,93 @@ def test_moralize_families_are_cliques():
                     assert moral.has_edge(fam[i], fam[j])
 
 
+def _triangulate(g):
+    """triangulate on an UndirectedGraph without a table cap, and the chordal
+    graph its cliques span."""
+    adj = [{g.index(u) for u in g.neighbors(v)} for v in g.node_ids]
+    tri = triangulate(g.node_ids, adj, [2] * len(g), math.inf)
+    edges = {(c[i], c[j]) for c in tri.cliques for i in range(len(c)) for j in range(i + 1, len(c))}
+    return tri, UndirectedGraph(g.node_ids, edges)
+
+
+def _random_graph(rng, names, p):
+    n = len(names)
+    return UndirectedGraph(
+        names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    )
+
+
 def test_triangulate_four_cycle():
     g = UndirectedGraph("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-    tri = triangulate(g)
-    assert find_chordless_cycle(tri.chordal) is None
-    assert len(tri.chordal.edges) == 5  # exactly one chord added
+    tri, chordal = _triangulate(g)
+    assert find_chordless_cycle(chordal) is None
+    assert len(chordal.edges) == 5  # exactly one chord added
     assert sorted(tri.elimination_order) == list("ABCD")
 
 
 def test_triangulate_keeps_chordal_input():
     g = UndirectedGraph("ABCD", [("A", "B"), ("B", "C"), ("B", "D")])
-    tri = triangulate(g)
-    assert tri.chordal.edges == g.edges
+    _, chordal = _triangulate(g)
+    assert chordal.edges == g.edges
 
 
 def test_triangulate_random_graphs_chordal():
     rng = np.random.default_rng(19)
     for _ in range(30):
         n = int(rng.integers(4, 11))
-        names = tuple(f"n{i}" for i in range(n))
-        edges = [
-            (names[i], names[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.35
+        g = _random_graph(rng, tuple(f"n{i}" for i in range(n)), 0.35)
+        _, chordal = _triangulate(g)
+        assert g.edges <= chordal.edges
+        assert find_chordless_cycle(chordal) is None
+
+
+def _oracle_graphs(rng):
+    """Undirected graphs for the elimination oracle: fixed shapes whose keys
+    all tie, random graphs of every density, disconnected unions, and moral
+    graphs of networks whose parents may follow their children."""
+    for n in (0, 1, 2, 5, 9):
+        names = tuple(f"v{i}" for i in range(n))
+        yield UndirectedGraph(names)  # empty
+        yield _random_graph(rng, names, 1.0)  # complete
+        yield UndirectedGraph(names, [(names[i], names[(i + 1) % n]) for i in range(n) if n > 2])
+    grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
+    grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
+    yield UndirectedGraph(tuple(f"g{r}{c}" for r in range(3) for c in range(3)), grid)
+    for _ in range(150):
+        n = int(rng.integers(2, 14))
+        yield _random_graph(rng, tuple(f"n{i}" for i in rng.permutation(n)), rng.random())
+    for _ in range(50):
+        a = _random_graph(rng, tuple(f"a{i}" for i in range(int(rng.integers(1, 7)))), 0.6)
+        b = _random_graph(rng, tuple(f"b{i}" for i in range(int(rng.integers(1, 7)))), 0.6)
+        ids = list(a.node_ids + b.node_ids)
+        rng.shuffle(ids)
+        yield UndirectedGraph(ids, a.edges | b.edges)
+    for _ in range(100):
+        yield moralize(reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag)
+
+
+def test_triangulate_matches_reference_min_fill():
+    rng = np.random.default_rng(31)
+    count = 0
+    for g in _oracle_graphs(rng):
+        tri, _ = _triangulate(g)
+        order, cliques = reference_min_fill(g)
+        assert tri.elimination_order == order
+        assert list(tri.cliques) == cliques
+        count += 1
+    assert count > 300
+
+
+def test_moral_adjacency_of_induced_subgraphs():
+    rng = np.random.default_rng(37)
+    for _ in range(60):
+        dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 12)), 0.4)).dag
+        keep = [v for v in dag.node_ids if rng.random() < 0.7]
+        moral = moralize(dag.subgraph(keep))
+        adj = moral_adjacency(dag, moral.node_ids)
+        assert [{moral.node_ids[u] for u in ns} for ns in adj] == [
+            set(moral.neighbors(v)) for v in moral.node_ids
         ]
-        g = UndirectedGraph(names, edges)
-        tri = triangulate(g)
-        assert g.edges <= tri.chordal.edges
-        assert find_chordless_cycle(tri.chordal) is None
 
 
 def test_d_separated_examples():

@@ -6,11 +6,11 @@ import pytest
 from bnmarg.decompose import decompose, relevant_subgraph, subset_boundaries
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
-from bnmarg.graphs import Dag
+from bnmarg.graphs import Dag, moralize
 from bnmarg.junction import build_junction_tree, incorporate_evidence, log_tree_sum
 from bnmarg.network import CategoricalBN, log_enumerate_marginal
 
-from conftest import brute_marginal, rand_bn, rand_evidence
+from conftest import brute_marginal, rand_bn, rand_evidence, reference_min_fill, reordered, sparse_bn
 
 
 def test_chain_cliques_and_sepset():
@@ -179,3 +179,32 @@ def test_capacity_error():
     bn = rand_bn(rng, 8, 0.9, cards=(3,))
     with pytest.raises(CapacityError):
         build_junction_tree(bn, table_cap=16)
+
+
+def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
+    # the cap is checked on each elimination clique as it forms; it must
+    # refuse exactly the scopes whose whole triangulation has a maximal clique
+    # table above the cap, and keep those cliques when it accepts
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(100):
+        bn = sparse_bn(rng, int(rng.integers(2, 12)))
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, len(bn) // 3)
+        dec = decompose(bn, e)
+        rel = relevant_subgraph(bn, e)
+        calls = [(bn, bn.node_ids, bn.node_ids)]  # the whole network, as jt builds it
+        for sub, b in zip(dec.subsets, dec.boundaries):  # each subset, as sgs builds it
+            calls.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch)))
+        for net, scope, factors in calls:
+            _, cliques = reference_min_fill(moralize(net.dag.subgraph(scope)))
+            largest = max(math.prod(net.cardinalities[v] for v in c) for c in cliques)
+            for cap in (largest - 1, largest, largest + 1):
+                if cap < largest:
+                    with pytest.raises(CapacityError):
+                        build_junction_tree(net, scope, factors, cap)
+                else:
+                    assert list(build_junction_tree(net, scope, factors, cap).cliques) == cliques
+                checked += 1
+    assert checked > 300

@@ -159,7 +159,10 @@ def test_loopy_bp_matches_reference_message_loop():
         n = len(bn.node_ids)
         count = (0, 1, max(n - 2, 1), n - 1)[trial % 4]
         e = rand_evidence(rng, bn, count)
-        for net, ev, nodes, factors in _bp_scopes(bn, e):
+        # the shuffled copy lists some parents after their children
+        for net, ev, nodes, factors in (
+            *_bp_scopes(bn, e), *_bp_scopes(reordered(np.random.default_rng(trial), bn), e)
+        ):
             for iters in (1, 5, 50):
                 cfg = SamplerConfig(sample_count=1, lbp_iterations=iters, lbp_tolerance=1e-12)
                 want_nodes, want = _reference_loopy_bp(net, ev, cfg, nodes, factors)
@@ -168,7 +171,7 @@ def test_loopy_bp_matches_reference_message_loop():
                 for v in q.nodes:
                     np.testing.assert_allclose(q.probs[v], want[v], rtol=0, atol=1e-12)
                 checked += 1
-    assert checked > 300
+    assert checked > 600
 
 
 # per network, a digest of the bytes of every belief over the whole network
