@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     UnknownNodeError,
 )
-from .graphs import Dag, UndirectedGraph, d_separated, markov_blanket, moralize
+from .graphs import Dag, d_separated
 from .junction import build_junction_tree
 from .netformat import parse_dataset, parse_network, serialize_dataset, serialize_network
 from .network import (
@@ -73,7 +73,6 @@ __all__ = [
     "SubsetBoundary",
     "SubsetDecomposition",
     "SubsetReport",
-    "UndirectedGraph",
     "UnknownNodeError",
     "build_junction_tree",
     "classify",
@@ -88,8 +87,6 @@ __all__ = [
     "loopy_bp",
     "marginal",
     "marginal_sgs",
-    "markov_blanket",
-    "moralize",
     "nrmse",
     "parse_dataset",
     "parse_network",

@@ -8,11 +8,14 @@ sets drawn from e:
 
     e_mb  evidence in the union of Markov blankets of S's members,
     e_ch  evidence in the union of their children,
-    e_pa  evidence in the union of their parents,
+    e_pa  evidence in the union of their parents.
 
-and the query factorizes into one term per group plus a closed-form factor
-for the leftover evidence e' = e minus all child boundaries, whose parents
-are all evidence themselves.
+One breadth-first search over the moral adjacency, read off the parent
+lists and stopped at evidence, finds every group together with its e_mb
+(the evidence it touches); e_ch and e_pa come from the members' own child
+and parent lists.  The query then factorizes into one term per group plus
+a closed-form factor for the leftover evidence e' = e minus all child
+boundaries, whose parents are all evidence themselves.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ArgumentError, InternalConsistencyError
-from .graphs import Dag, markov_blanket, moralize
+from .errors import InternalConsistencyError
+from .graphs import Dag, moral_adjacency
 from .network import CategoricalBN, validate_evidence
 
 
@@ -54,61 +57,52 @@ def relevant_subgraph(bn: CategoricalBN, e: Iterable) -> CategoricalBN:
     return bn.restrict(keep)
 
 
-def find_subsets(dag: Dag, e: Iterable) -> list[tuple]:
-    """Connected components of the moralized graph after deleting e.
+def find_subsets(dag: Dag, e: Iterable) -> tuple[tuple, tuple]:
+    """Connected components of the moralized graph after deleting e, with
+    their evidence boundaries, from one traversal of the moral adjacency.
 
     The caller passes the relevant subgraph for e; on that graph the
     components are exactly the maximal groups of non-evidence nodes that are
     pairwise d-connected given e and d-separated from everything else by e.
-    Components are listed by their smallest member, members in canonical
-    order.
+    A breadth-first search from each not yet reached non-evidence node, in
+    canonical order, stops at evidence positions; the evidence it touches is
+    the component's ``e_mb`` (a node's moral neighbours are its Markov
+    blanket), and ``e_ch`` and ``e_pa`` are the evidence among the members'
+    own children and parents.
+
+    Returns ``(subsets, boundaries)``: components listed by their smallest
+    member, members in canonical order, and one SubsetBoundary each.
     """
     ev = set(e)
     dag.check_nodes(ev)
-    moral = moralize(dag)
-    free = [v for v in dag.node_ids if v not in ev]
-    seen = set()
-    components = []
-    for start in free:
-        if start in seen:
+    nodes = dag.node_ids
+    adj = moral_adjacency(dag, nodes)
+    observed = [v in ev for v in nodes]
+    seen = list(observed)  # evidence never starts or joins a component
+    subsets = []
+    boundaries = []
+    for start in range(len(nodes)):
+        if seen[start]:
             continue
-        comp = {start}
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            v = frontier.pop()
-            for u in moral.neighbors(v):
-                if u in ev or u in seen:
-                    continue
-                seen.add(u)
-                comp.add(u)
-                frontier.append(u)
-        components.append(dag.sort(comp))
-    components.sort(key=lambda c: dag.index(c[0]))
-    return components
-
-
-def subset_boundaries(dag: Dag, subset: Iterable, e: Iterable) -> SubsetBoundary:
-    """Evidence boundary sets of one subset, computed in the given graph."""
-    sub = set(subset)
-    ev = set(e)
-    dag.check_nodes(sub | ev)
-    if sub & ev:
-        raise ArgumentError("subset and evidence overlap")
-    if not sub:
-        raise ArgumentError("empty subset")
-    mb = set()
-    ch = set()
-    pa = set()
-    for v in sub:
-        mb.update(markov_blanket(dag, v))
-        ch.update(dag.children(v))
-        pa.update(dag.parents(v))
-    return SubsetBoundary(
-        e_mb=dag.sort(mb & ev),
-        e_ch=dag.sort(ch & ev),
-        e_pa=dag.sort(pa & ev),
-    )
+        seen[start] = True
+        comp = [start]
+        mb = set()
+        for i in comp:  # comp grows while it is read: a breadth-first queue
+            for j in adj[i]:
+                if observed[j]:
+                    mb.add(j)
+                elif not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        members = tuple(nodes[i] for i in comp)
+        ch = {c for v in members for c in dag.children(v) if c in ev}
+        pa = {p for v in members for p in dag.parents(v) if p in ev}
+        subsets.append(members)
+        boundaries.append(
+            SubsetBoundary(e_mb=tuple(nodes[j] for j in sorted(mb)), e_ch=dag.sort(ch), e_pa=dag.sort(pa))
+        )
+    return tuple(subsets), tuple(boundaries)
 
 
 def decompose(bn: CategoricalBN, evidence: Mapping) -> SubsetDecomposition:
@@ -124,8 +118,7 @@ def decompose(bn: CategoricalBN, evidence: Mapping) -> SubsetDecomposition:
     validate_evidence(bn, evidence)
     ev = set(evidence)
     rel = relevant_subgraph(bn, ev)
-    subsets = find_subsets(rel.dag, ev)
-    boundaries = tuple(subset_boundaries(rel.dag, s, ev) for s in subsets)
+    subsets, boundaries = find_subsets(rel.dag, ev)
     covered = set()
     for b in boundaries:
         covered.update(b.e_ch)
@@ -137,7 +130,7 @@ def decompose(bn: CategoricalBN, evidence: Mapping) -> SubsetDecomposition:
             )
     return SubsetDecomposition(
         relevant_nodes=rel.dag.node_ids,
-        subsets=tuple(subsets),
+        subsets=subsets,
         boundaries=boundaries,
         leftover_evidence=leftover,
     )

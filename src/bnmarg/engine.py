@@ -146,8 +146,7 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     and multiplies the factors back together in log space.
     """
     cfg = cfg or SgsConfig()
-    validate_evidence(bn, evidence)
-    dec = decompose(bn, evidence)
+    dec = decompose(bn, evidence)  # validates the evidence before any work
     rel = relevant_subgraph(bn, set(evidence))
     override = dict(cfg.method_override or {})
 
@@ -225,11 +224,10 @@ def marginal(
     """
     cfg = cfg or SgsConfig()
     name = canonical_method(method)
-    validate_evidence(bn, evidence)
-
     if name == "sgs":
         return marginal_sgs(bn, evidence, cfg)
 
+    validate_evidence(bn, evidence)
     free = tuple(v for v in bn.node_ids if v not in evidence)
     if name == "jt":
         log_v = _log_exact(bn, bn.node_ids, bn.node_ids, evidence, cfg.table_cap)

@@ -98,14 +98,6 @@ class Dag:
         """Return the given nodes as a tuple in canonical order."""
         return tuple(sorted(nodes, key=self.index))
 
-    def ancestors(self, v) -> tuple:
-        """All strict ancestors of v, canonical order."""
-        return self.sort(self._reach(v, self._parents))
-
-    def descendants(self, v) -> tuple:
-        """All strict descendants of v, canonical order."""
-        return self.sort(self._reach(v, self._children))
-
     def ancestors_of_set(self, nodes: Iterable) -> tuple:
         """Union of strict ancestors of the given nodes, canonical order."""
         out = set()
@@ -119,21 +111,6 @@ class Dag:
                         nxt.append(p)
             frontier = nxt
         return self.sort(out)
-
-    def _reach(self, v, link) -> set:
-        self.index(v)
-        out = set()
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in link[u]:
-                    if w not in out:
-                        out.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        out.discard(v)
-        return out
 
     def subgraph(self, nodes: Iterable) -> "Dag":
         """Induced subgraph, built from the kept nodes' parent lists only;
@@ -197,57 +174,6 @@ class Dag:
         return ()
 
 
-class UndirectedGraph:
-    """Simple undirected graph sharing the canonical node order of its source."""
-
-    def __init__(self, node_ids: Sequence[NodeId], edges: Iterable[tuple] = ()):
-        self.node_ids = tuple(node_ids)
-        if len(set(self.node_ids)) != len(self.node_ids):
-            raise ArgumentError("duplicate node ids in node list")
-        self._index = {v: i for i, v in enumerate(self.node_ids)}
-        norm = set()
-        for u, v in edges:
-            if u not in self._index or v not in self._index:
-                missing = u if u not in self._index else v
-                raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")
-            if u == v:
-                raise ArgumentError(f"self loop on {u!r}")
-            if self._index[u] > self._index[v]:
-                u, v = v, u
-            norm.add((u, v))
-        self.edges = frozenset(norm)
-        adj = {v: set() for v in self.node_ids}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        key = self._index.__getitem__
-        self._adjacency = {v: tuple(sorted(ns, key=key)) for v, ns in adj.items()}
-
-    def __contains__(self, v) -> bool:
-        return v in self._index
-
-    def __len__(self) -> int:
-        return len(self.node_ids)
-
-    def index(self, v) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise UnknownNodeError(f"unknown node {v!r}") from None
-
-    def neighbors(self, v) -> tuple:
-        self.index(v)
-        return self._adjacency[v]
-
-    def has_edge(self, u, v) -> bool:
-        if self._index[u] > self._index[v]:
-            u, v = v, u
-        return (u, v) in self.edges
-
-    def sort(self, nodes: Iterable) -> tuple:
-        return tuple(sorted(nodes, key=self.index))
-
-
 @dataclass(frozen=True)
 class Triangulation:
     """Result of :func:`triangulate`.
@@ -259,28 +185,6 @@ class Triangulation:
 
     elimination_order: tuple
     cliques: tuple
-
-
-def markov_blanket(dag: Dag, v) -> tuple:
-    """Parents, children and co-parents of v, excluding v itself."""
-    out = set(dag.parents(v)) | set(dag.children(v))
-    for c in dag.children(v):
-        out.update(dag.parents(c))
-    out.discard(v)
-    return dag.sort(out)
-
-
-def moralize(dag: Dag) -> UndirectedGraph:
-    """Undirected skeleton plus marriages between co-parents of each node."""
-    edges = set()
-    for u, v in dag.edges:
-        edges.add((u, v))
-    for v in dag.node_ids:
-        ps = dag.parents(v)
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.add((ps[i], ps[j]))
-    return UndirectedGraph(dag.node_ids, edges)
 
 
 def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from bnmarg.graphs import Dag, UndirectedGraph
+from bnmarg.graphs import Dag
 from bnmarg.network import CategoricalBN
 
 
@@ -102,6 +102,17 @@ def _all_paths(dag, start, goal):
     return paths
 
 
+def _descendants(dag, v):
+    """Strict descendants of v, by walking the child lists."""
+    out, stack = set(), [v]
+    while stack:
+        for c in dag.children(stack.pop()):
+            if c not in out:
+                out.add(c)
+                stack.append(c)
+    return out
+
+
 def _path_active(dag, path, z):
     """Classic triple classification: chains and forks block when observed,
     colliders block unless they or a descendant are observed."""
@@ -111,7 +122,7 @@ def _path_active(dag, path, z):
         into_left = mid in dag.children(prev)
         into_right = mid in dag.children(nxt)
         if into_left and into_right:
-            observed_below = mid in zset or any(d in zset for d in dag.descendants(mid))
+            observed_below = mid in zset or not zset.isdisjoint(_descendants(dag, mid))
             if not observed_below:
                 return False
         elif mid in zset:
@@ -129,59 +140,82 @@ def path_d_separated(dag, a, b, z):
     return True
 
 
-def reference_min_fill(graph):
-    """Greedy min-fill on an UndirectedGraph by the plain route: every
-    remaining node's key (fill count, remaining degree, canonical position)
-    is recomputed at each step, the chordal graph is built from the fill
-    edges, and the maximal cliques are read off it afterwards.
+def moral_edges(dag):
+    """Edges of the moral graph as unordered pairs: every parent-child edge
+    plus a marriage between every two parents of one node."""
+    edges = {frozenset(e) for e in dag.edges}
+    for v in dag.node_ids:
+        ps = dag.parents(v)
+        edges.update(frozenset((a, b)) for i, a in enumerate(ps) for b in ps[i + 1 :])
+    return edges
+
+
+def markov_blanket(dag, v):
+    """Parents, children and the children's other parents of v."""
+    out = set(dag.parents(v)) | set(dag.children(v))
+    for c in dag.children(v):
+        out.update(dag.parents(c))
+    out.discard(v)
+    return out
+
+
+def adjacency(node_ids, edges):
+    """The undirected graph on ``node_ids`` with the given edges, as the
+    neighbour positions ``triangulate`` takes."""
+    pos = {v: i for i, v in enumerate(node_ids)}
+    adj = [set() for _ in node_ids]
+    for u, v in edges:
+        adj[pos[u]].add(pos[v])
+        adj[pos[v]].add(pos[u])
+    return adj
+
+
+def reference_min_fill(node_ids, adj):
+    """Greedy min-fill on an undirected graph (``adj[i]`` holds the neighbour
+    positions of ``node_ids[i]``) by the plain route: every remaining node's
+    key (fill count, remaining degree, position) is recomputed at each step,
+    each step's fill edges are added to a copy of the graph, and the maximal
+    cliques are read off that chordal graph afterwards.
 
     Returns (elimination order, maximal cliques as canonical tuples sorted
     by their position tuples).
     """
-    adj = {v: set(graph.neighbors(v)) for v in graph.node_ids}
-    remaining = set(graph.node_ids)
-    fill_edges = set()
+    chordal = [set(ns) for ns in adj]
+    remaining = set(range(len(node_ids)))
     order = []
 
     def fill_count(v):
-        ns = [u for u in adj[v] if u in remaining]
+        ns = list(chordal[v] & remaining)
         return sum(
-            1 for i in range(len(ns)) for j in range(i + 1, len(ns)) if ns[j] not in adj[ns[i]]
+            1 for i in range(len(ns)) for j in range(i + 1, len(ns)) if ns[j] not in chordal[ns[i]]
         )
 
     while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (fill_count(v), sum(1 for u in adj[v] if u in remaining), graph.index(v)),
-        )
-        ns = [u for u in adj[best] if u in remaining]
+        best = min(remaining, key=lambda v: (fill_count(v), len(chordal[v] & remaining), v))
+        ns = sorted(chordal[best] & remaining)
         for i in range(len(ns)):
             for j in range(i + 1, len(ns)):
-                a, b = ns[i], ns[j]
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    fill_edges.add((a, b))
+                chordal[ns[i]].add(ns[j])
+                chordal[ns[j]].add(ns[i])
         remaining.discard(best)
         order.append(best)
-    chordal = UndirectedGraph(graph.node_ids, set(graph.edges) | fill_edges)
 
     eliminated = set()
     raw = []
     for v in order:
-        raw.append(frozenset({v} | {u for u in chordal.neighbors(v) if u not in eliminated}))
+        raw.append(frozenset({v} | (chordal[v] - eliminated)))
         eliminated.add(v)
-    cliques = {chordal.sort(c) for c in raw if not any(c < d for d in raw)}
-    return tuple(order), sorted(cliques, key=lambda c: tuple(map(graph.index, c)))
+    cliques = sorted({tuple(sorted(c)) for c in raw if not any(c < d for d in raw)})
+    return tuple(node_ids[v] for v in order), [tuple(node_ids[u] for u in c) for c in cliques]
 
 
-def find_chordless_cycle(graph):
-    """A cycle of length >= 4 without a chord, or None if the graph is chordal.
+def find_chordless_cycle(adj):
+    """A cycle of length >= 4 without a chord, as positions, or None if the
+    graph (``adj[i]`` holds the neighbour positions of node i) is chordal.
 
-    Depth-first enumeration of simple cycles; chords checked against the edge
-    set directly.
+    Depth-first enumeration of simple cycles; chords checked against the
+    adjacency directly.
     """
-    nodes = list(graph.node_ids)
 
     def has_chord(cycle):
         k = len(cycle)
@@ -189,19 +223,19 @@ def find_chordless_cycle(graph):
             for j in range(i + 2, k):
                 if i == 0 and j == k - 1:
                     continue
-                if graph.has_edge(cycle[i], cycle[j]):
+                if cycle[j] in adj[cycle[i]]:
                     return True
         return False
 
-    for start in nodes:
+    for start in range(len(adj)):
         stack = [(start, [start])]
         while stack:
             v, path = stack.pop()
-            for w in graph.neighbors(v):
+            for w in adj[v]:
                 if w == start and len(path) >= 4:
                     if not has_chord(path):
                         return tuple(path)
-                elif w not in path and graph.index(w) > graph.index(start):
+                elif w not in path and w > start:
                     stack.append((w, path + [w]))
     return None
 

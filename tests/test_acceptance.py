@@ -155,7 +155,7 @@ def _oracle_ancestral(dag: Dag, e) -> Dag:
 
 
 def _emitted_partition(bn: CategoricalBN, e) -> list:
-    return find_subsets(relevant_subgraph(bn, e).dag, e)
+    return find_subsets(relevant_subgraph(bn, e).dag, e)[0]
 
 
 def test_gate_03_decomposition_is_certified():

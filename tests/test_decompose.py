@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from bnmarg.decompose import (
-    decompose,
-    find_subsets,
-    relevant_subgraph,
-    subset_boundaries,
-)
-from bnmarg.errors import ArgumentError
-from bnmarg.graphs import Dag, d_separated, markov_blanket
+from bnmarg.decompose import SubsetBoundary, decompose, find_subsets, relevant_subgraph
+from bnmarg.errors import UnknownNodeError
+from bnmarg.graphs import Dag, d_separated
 from bnmarg.network import CategoricalBN, enumerate_marginal
 
-from conftest import rand_bn, rand_evidence, two_group_network
+from conftest import (
+    markov_blanket,
+    moral_edges,
+    rand_bn,
+    rand_evidence,
+    reordered,
+    two_group_network,
+)
 
 
 def chain_aec():
@@ -58,44 +60,64 @@ def test_relevant_subgraph_preserves_marginal():
 def test_find_subsets_examples():
     bn = two_group_network()
     sub = relevant_subgraph(bn, {"E", "N", "O"})
-    assert find_subsets(sub.dag, {"E", "N", "O"}) == [("A", "B"), ("G", "J", "K", "L")]
+    subsets, _ = find_subsets(sub.dag, {"E", "N", "O"})
+    assert subsets == (("A", "B"), ("G", "J", "K", "L"))
     dag = chain_aec()
-    assert find_subsets(dag, set()) == [("A", "E", "C")]  # canonical node order
-    assert find_subsets(dag, {"A", "E", "C"}) == []
+    no_evidence = SubsetBoundary(e_mb=(), e_ch=(), e_pa=())
+    assert find_subsets(dag, set()) == ((("A", "E", "C"),), (no_evidence,))  # canonical node order
+    assert find_subsets(dag, {"A", "E", "C"}) == ((), ())
 
 
 def test_subset_boundaries_chain_roles():
-    dag = chain_aec()
-    b = subset_boundaries(dag, {"A"}, {"E"})
-    assert (b.e_mb, b.e_ch, b.e_pa) == (("E",), ("E",), ())
-    b = subset_boundaries(dag, {"C"}, {"E"})
-    assert (b.e_mb, b.e_ch, b.e_pa) == (("E",), (), ("E",))
+    subsets, (ba, bc) = find_subsets(chain_aec(), {"E"})
+    assert subsets == (("A",), ("C",))
+    assert (ba.e_mb, ba.e_ch, ba.e_pa) == (("E",), ("E",), ())
+    assert (bc.e_mb, bc.e_ch, bc.e_pa) == (("E",), (), ("E",))
     coll = Dag(("A", "E", "B"), [("A", "E"), ("B", "E")])
-    b = subset_boundaries(coll, {"A", "B"}, {"E"})
-    assert b.e_mb == ("E",) and b.e_ch == ("E",)
-    with pytest.raises(ArgumentError):
-        subset_boundaries(dag, {"A", "E"}, {"E"})
+    subsets, (b,) = find_subsets(coll, {"E"})
+    assert subsets == (("A", "B"),)  # married through their observed child
+    assert (b.e_mb, b.e_ch, b.e_pa) == (("E",), ("E",), ())
+    with pytest.raises(UnknownNodeError):
+        find_subsets(chain_aec(), {"E", "Z"})
+
+
+def _evidence_cases(rng):
+    """(graph, evidence) pairs: relevant subgraphs of random and reordered
+    networks, and whole networks with no evidence or every node observed."""
+    for trial in range(30):
+        bn = rand_bn(rng, 10, 0.3)
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, 3)
+        yield relevant_subgraph(bn, e).dag, set(e)
+        if trial % 5 == 0:
+            yield bn.dag, set()
+            yield bn.dag, set(bn.node_ids)
 
 
 def test_subset_boundaries_definitional():
     rng = np.random.default_rng(40)
-    for _ in range(15):
-        bn = rand_bn(rng, 10, 0.3)
-        e = rand_evidence(rng, bn, 3)
-        sub = relevant_subgraph(bn, e)
-        for subset in find_subsets(sub.dag, e):
-            b = subset_boundaries(sub.dag, subset, e)
+    for dag, e in _evidence_cases(rng):
+        subsets, boundaries = find_subsets(dag, e)
+        assert len(boundaries) == len(subsets)
+        label = {v: i for i, s in enumerate(subsets) for v in s}
+        assert sorted(label) == sorted(v for v in dag.node_ids if v not in e)
+        for u, v in map(tuple, moral_edges(dag)):  # components: no free moral edge between two
+            assert u in e or v in e or label[u] == label[v]
+        for subset, b in zip(subsets, boundaries):
+            assert subset == dag.sort(subset)
             mb = set()
             ch = set()
             pa = set()
             for u in subset:
-                mb |= set(markov_blanket(sub.dag, u))
-                ch |= set(sub.dag.children(u))
-                pa |= set(sub.dag.parents(u))
-            assert set(b.e_mb) == mb & set(e)
-            assert set(b.e_ch) == ch & set(e)
-            assert set(b.e_pa) == pa & set(e)
+                mb |= markov_blanket(dag, u)
+                ch |= set(dag.children(u))
+                pa |= set(dag.parents(u))
+            assert b.e_mb == dag.sort(mb & e)
+            assert b.e_ch == dag.sort(ch & e)
+            assert b.e_pa == dag.sort(pa & e)
             assert set(b.e_ch) <= set(b.e_mb) and set(b.e_pa) <= set(b.e_mb)
+        assert [dag.index(s[0]) for s in subsets] == sorted(dag.index(s[0]) for s in subsets)
 
 
 def test_decompose_two_groups():
@@ -167,7 +189,7 @@ def test_find_subsets_permutation_invariance():
         bn = rand_bn(rng, 9, 0.35, cards=(2,))
         e = rand_evidence(rng, bn, 3)
         sub = relevant_subgraph(bn, e)
-        base = {frozenset(s) for s in find_subsets(sub.dag, e)}
+        base = {frozenset(s) for s in find_subsets(sub.dag, e)[0]}
         names = list(sub.node_ids)
         for _ in range(5):
             perm = list(names)
@@ -176,6 +198,6 @@ def test_find_subsets_permutation_invariance():
             pdag = Dag(
                 sorted(perm), [(mapping[u], mapping[v]) for u, v in sub.dag.edges]
             )
-            got = {frozenset(s) for s in find_subsets(pdag, {mapping[v] for v in e})}
+            got = {frozenset(s) for s in find_subsets(pdag, {mapping[v] for v in e})[0]}
             want = {frozenset(mapping[v] for v in s) for s in base}
             assert got == want

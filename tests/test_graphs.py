@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from bnmarg.errors import ArgumentError, CycleError, UnknownNodeError
-from bnmarg.graphs import (
-    Dag,
-    UndirectedGraph,
-    d_separated,
-    markov_blanket,
-    moral_adjacency,
-    moralize,
-    triangulate,
-)
+from bnmarg.graphs import Dag, d_separated, moral_adjacency, triangulate
 
 from conftest import (
+    adjacency,
     find_chordless_cycle,
+    markov_blanket,
+    moral_edges,
     path_d_separated,
     rand_bn,
     rand_dag,
@@ -64,22 +59,22 @@ def test_relations_chain():
     dag = chain()
     assert dag.parents("B") == ("A",)
     assert dag.children("B") == ("C",)
-    assert dag.ancestors("B") == ("A",)
-    assert dag.descendants("B") == ("C",)
+    assert dag.ancestors_of_set({"B"}) == ("A",)
+    assert dag.ancestors_of_set({"C"}) == ("A", "B")
 
 
 def test_relations_isolated():
     dag = Dag(("A", "B"), [])
     assert dag.parents("A") == () and dag.children("A") == ()
-    assert dag.ancestors("A") == () and dag.descendants("A") == ()
-    for query in (dag.parents, dag.children, dag.ancestors, dag.descendants):
+    assert dag.ancestors_of_set({"A", "B"}) == ()
+    for query in (dag.parents, dag.children, lambda v: dag.ancestors_of_set({"A", v})):
         with pytest.raises(UnknownNodeError):
             query("Z")
 
 
 def test_relations_against_edge_composition():
-    # ancestors/descendants must match the transitive closure obtained by
-    # repeatedly composing the edge relation
+    # ancestors_of_set must match the transitive closure obtained by
+    # repeatedly composing the edge relation, for single nodes and for sets
     rng = np.random.default_rng(42)
     for _ in range(20):
         dag = rand_dag(rng, 10, 0.25)
@@ -95,22 +90,33 @@ def test_relations_against_edge_composition():
                     reach[v] |= extra
                     changed = True
         for v in dag.node_ids:
-            assert set(dag.descendants(v)) == reach[v]
-            assert set(dag.ancestors(v)) == {u for u in dag.node_ids if v in reach[u]}
+            assert set(dag.ancestors_of_set({v})) == {u for u in dag.node_ids if v in reach[u]}
+        nodes = {v for v in dag.node_ids if rng.random() < 0.3}
+        want = {u for u in dag.node_ids if reach[u] & nodes}
+        assert dag.ancestors_of_set(nodes) == dag.sort(want)
+
+
+def _moral_neighbours(dag):
+    """Each node's neighbours in ``moral_adjacency`` over the whole graph, by name."""
+    adj = moral_adjacency(dag, dag.node_ids)
+    return {v: {dag.node_ids[u] for u in adj[i]} for i, v in enumerate(dag.node_ids)}
 
 
 def test_markov_blanket_examples():
-    assert markov_blanket(chain(), "B") == ("A", "C")
-    assert markov_blanket(collider(), "A") == ("B", "C")
+    # a node's moral neighbours are its Markov blanket
+    assert _moral_neighbours(chain())["B"] == {"A", "C"}
+    assert _moral_neighbours(collider())["A"] == {"B", "C"}
 
 
 def test_markov_blanket_equals_moral_neighborhood():
     rng = np.random.default_rng(7)
-    for _ in range(25):
+    for trial in range(50):
         dag = rand_dag(rng, 10, 0.3)
-        moral = moralize(dag)
+        if trial % 2:
+            dag = reordered(rng, rand_bn(rng, 10, 0.3)).dag
+        neighbours = _moral_neighbours(dag)
         for v in dag.node_ids:
-            assert markov_blanket(dag, v) == moral.neighbors(v)
+            assert neighbours[v] == markov_blanket(dag, v)
 
 
 def test_topological_order():
@@ -127,98 +133,107 @@ def test_topological_order():
             assert pos[u] < pos[v]
 
 
-def test_moralize_examples():
-    moral = moralize(collider())
-    assert moral.has_edge("A", "C") and moral.has_edge("B", "C")
-    assert moral.has_edge("A", "B")
-    moral = moralize(chain())
-    assert moral.has_edge("A", "B") and moral.has_edge("B", "C")
-    assert not moral.has_edge("A", "C")
+def test_moral_adjacency_examples():
+    neighbours = _moral_neighbours(collider())
+    assert neighbours["C"] == {"A", "B"}
+    assert neighbours["A"] == {"B", "C"}  # the parents of C are married
+    neighbours = _moral_neighbours(chain())
+    assert neighbours["B"] == {"A", "C"}
+    assert "C" not in neighbours["A"]
 
 
-def test_moralize_families_are_cliques():
+def test_moral_adjacency_families_are_cliques():
     rng = np.random.default_rng(11)
     for _ in range(20):
         dag = rand_dag(rng, 10, 0.35)
-        moral = moralize(dag)
+        neighbours = _moral_neighbours(dag)
         for v in dag.node_ids:
             fam = (v,) + dag.parents(v)
             for i in range(len(fam)):
                 for j in range(i + 1, len(fam)):
-                    assert moral.has_edge(fam[i], fam[j])
+                    assert fam[j] in neighbours[fam[i]]
+        assert {frozenset((u, v)) for u in dag.node_ids for v in neighbours[u]} == moral_edges(dag)
 
 
-def _triangulate(g):
-    """triangulate on an UndirectedGraph without a table cap, and the chordal
-    graph its cliques span."""
-    adj = [{g.index(u) for u in g.neighbors(v)} for v in g.node_ids]
-    tri = triangulate(g.node_ids, adj, [2] * len(g), math.inf)
-    edges = {(c[i], c[j]) for c in tri.cliques for i in range(len(c)) for j in range(i + 1, len(c))}
-    return tri, UndirectedGraph(g.node_ids, edges)
+def _triangulate(ids, adj):
+    """triangulate without a table cap, and the chordal graph its cliques
+    span, as neighbour positions."""
+    tri = triangulate(ids, adj, [2] * len(ids), math.inf)
+    edges = [(c[i], c[j]) for c in tri.cliques for i in range(len(c)) for j in range(i + 1, len(c))]
+    return tri, adjacency(ids, edges)
 
 
-def _random_graph(rng, names, p):
+def _random_edges(rng, names, p):
     n = len(names)
-    return UndirectedGraph(
-        names, [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    )
+    return [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+def _edge_count(adj):
+    return sum(len(ns) for ns in adj) // 2
 
 
 def test_triangulate_four_cycle():
-    g = UndirectedGraph("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-    tri, chordal = _triangulate(g)
+    adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+    tri, chordal = _triangulate("ABCD", adj)
     assert find_chordless_cycle(chordal) is None
-    assert len(chordal.edges) == 5  # exactly one chord added
+    assert _edge_count(chordal) == 5  # exactly one chord added
     assert sorted(tri.elimination_order) == list("ABCD")
 
 
 def test_triangulate_keeps_chordal_input():
-    g = UndirectedGraph("ABCD", [("A", "B"), ("B", "C"), ("B", "D")])
-    _, chordal = _triangulate(g)
-    assert chordal.edges == g.edges
+    adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("B", "D")])
+    _, chordal = _triangulate("ABCD", adj)
+    assert chordal == adj
 
 
 def test_triangulate_random_graphs_chordal():
     rng = np.random.default_rng(19)
     for _ in range(30):
         n = int(rng.integers(4, 11))
-        g = _random_graph(rng, tuple(f"n{i}" for i in range(n)), 0.35)
-        _, chordal = _triangulate(g)
-        assert g.edges <= chordal.edges
+        names = tuple(f"n{i}" for i in range(n))
+        adj = adjacency(names, _random_edges(rng, names, 0.35))
+        _, chordal = _triangulate(names, adj)
+        assert all(ns <= cs for ns, cs in zip(adj, chordal))
         assert find_chordless_cycle(chordal) is None
 
 
 def _oracle_graphs(rng):
-    """Undirected graphs for the elimination oracle: fixed shapes whose keys
-    all tie, random graphs of every density, disconnected unions, and moral
-    graphs of networks whose parents may follow their children."""
+    """Undirected graphs for the elimination oracle, as (node ids, neighbour
+    positions): fixed shapes whose keys all tie, random graphs of every
+    density, disconnected unions, and moral graphs of networks whose parents
+    may follow their children."""
     for n in (0, 1, 2, 5, 9):
         names = tuple(f"v{i}" for i in range(n))
-        yield UndirectedGraph(names)  # empty
-        yield _random_graph(rng, names, 1.0)  # complete
-        yield UndirectedGraph(names, [(names[i], names[(i + 1) % n]) for i in range(n) if n > 2])
+        yield names, adjacency(names, [])  # empty
+        yield names, adjacency(names, _random_edges(rng, names, 1.0))  # complete
+        yield names, adjacency(names, [(names[i], names[(i + 1) % n]) for i in range(n) if n > 2])
     grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
     grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
-    yield UndirectedGraph(tuple(f"g{r}{c}" for r in range(3) for c in range(3)), grid)
+    names = tuple(f"g{r}{c}" for r in range(3) for c in range(3))
+    yield names, adjacency(names, grid)
     for _ in range(150):
         n = int(rng.integers(2, 14))
-        yield _random_graph(rng, tuple(f"n{i}" for i in rng.permutation(n)), rng.random())
+        names = tuple(f"n{i}" for i in rng.permutation(n))
+        yield names, adjacency(names, _random_edges(rng, names, rng.random()))
     for _ in range(50):
-        a = _random_graph(rng, tuple(f"a{i}" for i in range(int(rng.integers(1, 7)))), 0.6)
-        b = _random_graph(rng, tuple(f"b{i}" for i in range(int(rng.integers(1, 7)))), 0.6)
-        ids = list(a.node_ids + b.node_ids)
+        a = tuple(f"a{i}" for i in range(int(rng.integers(1, 7))))
+        edges = _random_edges(rng, a, 0.6)
+        b = tuple(f"b{i}" for i in range(int(rng.integers(1, 7))))
+        edges += _random_edges(rng, b, 0.6)
+        ids = list(a + b)
         rng.shuffle(ids)
-        yield UndirectedGraph(ids, a.edges | b.edges)
+        yield tuple(ids), adjacency(ids, edges)
     for _ in range(100):
-        yield moralize(reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag)
+        dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag
+        yield dag.node_ids, adjacency(dag.node_ids, moral_edges(dag))
 
 
 def test_triangulate_matches_reference_min_fill():
     rng = np.random.default_rng(31)
     count = 0
-    for g in _oracle_graphs(rng):
-        tri, _ = _triangulate(g)
-        order, cliques = reference_min_fill(g)
+    for ids, adj in _oracle_graphs(rng):
+        tri, _ = _triangulate(ids, adj)
+        order, cliques = reference_min_fill(ids, adj)
         assert tri.elimination_order == order
         assert list(tri.cliques) == cliques
         count += 1
@@ -230,11 +245,8 @@ def test_moral_adjacency_of_induced_subgraphs():
     for _ in range(60):
         dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 12)), 0.4)).dag
         keep = [v for v in dag.node_ids if rng.random() < 0.7]
-        moral = moralize(dag.subgraph(keep))
-        adj = moral_adjacency(dag, moral.node_ids)
-        assert [{moral.node_ids[u] for u in ns} for ns in adj] == [
-            set(moral.neighbors(v)) for v in moral.node_ids
-        ]
+        sub = dag.subgraph(keep)
+        assert moral_adjacency(dag, sub.node_ids) == adjacency(sub.node_ids, moral_edges(sub))
 
 
 def test_d_separated_examples():

@@ -3,14 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from bnmarg.decompose import decompose, relevant_subgraph, subset_boundaries
+from bnmarg.decompose import decompose, find_subsets, relevant_subgraph
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
-from bnmarg.graphs import Dag, moralize
+from bnmarg.graphs import Dag
 from bnmarg.junction import build_junction_tree, incorporate_evidence, log_tree_sum
 from bnmarg.network import CategoricalBN, log_enumerate_marginal
 
-from conftest import brute_marginal, rand_bn, rand_evidence, reference_min_fill, reordered, sparse_bn
+from conftest import (
+    adjacency,
+    brute_marginal,
+    moral_edges,
+    rand_bn,
+    rand_evidence,
+    reference_min_fill,
+    reordered,
+    sparse_bn,
+)
 
 
 def test_chain_cliques_and_sepset():
@@ -110,8 +119,8 @@ def test_subset_marginal_empty_child_boundary():
         "C": np.array([[0.5, 0.5], [0.2, 0.8]]),
     }
     bn = CategoricalBN(dag, {"E": 2, "C": 2}, cpts)
-    b = subset_boundaries(dag, {"C"}, {"E"})
-    assert b.e_ch == ()
+    subsets, (b,) = find_subsets(dag, {"E"})
+    assert subsets == (("C",),) and b.e_ch == ()
     got = _log_exact(bn, {"C", "E"}, {"C"}, {"E": 1}, 2**20)
     assert math.exp(got) == pytest.approx(1.0)
 
@@ -198,7 +207,8 @@ def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
         for sub, b in zip(dec.subsets, dec.boundaries):  # each subset, as sgs builds it
             calls.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch)))
         for net, scope, factors in calls:
-            _, cliques = reference_min_fill(moralize(net.dag.subgraph(scope)))
+            induced = net.dag.subgraph(scope)
+            _, cliques = reference_min_fill(induced.node_ids, adjacency(induced.node_ids, moral_edges(induced)))
             largest = max(math.prod(net.cardinalities[v] for v in c) for c in cliques)
             for cap in (largest - 1, largest, largest + 1):
                 if cap < largest:
