@@ -49,12 +49,13 @@ def relevant_subgraph(bn: CategoricalBN, e: Iterable) -> CategoricalBN:
     Parents of retained nodes are always retained (a parent of an ancestor of
     e is itself an ancestor of e), so all CPTs carry over unchanged and the
     restriction is a valid network whose joint is the original marginal over
-    the retained nodes.
+    the retained nodes.  Being ancestral, it takes the network's topological
+    order, filtered, and it shares the network's node ids, read-only CPT
+    arrays and state-name tuples (see :meth:`CategoricalBN.restrict`).
     """
     ev = set(e)
     bn.dag.check_nodes(ev)
-    keep = ev | set(bn.dag.ancestors_of_set(ev))
-    return bn.restrict(keep)
+    return bn.restrict(ev | bn.dag._ancestors(ev))
 
 
 def find_subsets(dag: Dag, e: Iterable) -> tuple[tuple, tuple]:

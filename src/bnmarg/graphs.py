@@ -100,24 +100,54 @@ class Dag:
 
     def ancestors_of_set(self, nodes: Iterable) -> tuple:
         """Union of strict ancestors of the given nodes, canonical order."""
+        nodes = set(nodes)
+        self.check_nodes(nodes)
+        return self.sort(self._ancestors(nodes))
+
+    def _ancestors(self, nodes: Iterable) -> set:
+        """Union of strict ancestors of the given nodes, all known, unordered."""
         out = set()
-        frontier = [v for v in nodes if self.index(v) >= 0]
+        frontier = list(nodes)
         while frontier:
-            nxt = []
-            for v in frontier:
-                for p in self._parents[v]:
-                    if p not in out:
-                        out.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return self.sort(out)
+            for p in self._parents[frontier.pop()]:
+                if p not in out:
+                    out.add(p)
+                    frontier.append(p)
+        return out
 
     def subgraph(self, nodes: Iterable) -> "Dag":
-        """Induced subgraph, built from the kept nodes' parent lists only;
-        node order inherited from this graph."""
+        """Induced subgraph, node order inherited from this graph.
+
+        Built from this graph's validated parent and child lists, filtered to
+        the kept nodes, without the constructor's checks: an induced subgraph
+        of a DAG is a DAG.  The result shares the node ids.  When no kept
+        node loses a parent (an ancestral set), the topological order is this
+        graph's, filtered: nodes outside the set never make a kept node
+        ready, so they never change which kept node the min-heap order takes
+        next.  Otherwise the order is recomputed.
+        """
         keep = set(nodes)
-        ids = self.sort(keep)
-        return Dag(ids, [(p, v) for v in ids for p in self._parents[v] if p in keep])
+        self.check_nodes(keep)
+        sub = Dag.__new__(Dag)
+        sub.node_ids = ids = tuple(sorted(keep, key=self._index.__getitem__))
+        sub._index = {v: i for i, v in enumerate(ids)}
+        sub._parents = parents = {}
+        sub._children = children = {}
+        ancestral = True
+        for v in ids:  # a list that loses nothing is shared, not copied
+            ps = self._parents[v]
+            if not keep.issuperset(ps):
+                ps = tuple(p for p in ps if p in keep)
+                ancestral = False
+            parents[v] = ps
+            cs = self._children[v]
+            children[v] = cs if keep.issuperset(cs) else tuple(c for c in cs if c in keep)
+        sub.edges = frozenset([(p, v) for v in ids for p in parents[v]])
+        if ancestral:
+            sub._topo = tuple(filter(keep.__contains__, self._topo))
+        else:
+            sub._topo = sub._compute_topological_order()
+        return sub
 
     # -- topological order -------------------------------------------------
 

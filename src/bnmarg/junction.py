@@ -23,7 +23,9 @@ double-precision floor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -62,20 +64,24 @@ def _smallest_clique(clique_sets: list, family: tuple) -> int:
 def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
     """Maximum-sepset-weight spanning tree over the cliques (Kruskal).
 
-    Candidate edges with empty intersections are only used to join what the
-    weighted phase leaves disconnected, so a disconnected moral graph yields
-    a tree whose cross-component messages are scalars.
+    Only pairs that share a variable are scored, counted from a variable →
+    cliques index, and taken by decreasing weight, then by index pair.  What
+    that leaves disconnected is joined by empty sepsets: clique 0 to the
+    smallest clique of each other component, in ascending order, which is
+    the pair order Kruskal would take among zero-weight pairs.  So a
+    disconnected moral graph yields a tree whose cross-component messages
+    are scalars.
     """
     n = len(cliques)
-    if n == 0:
-        return []
-    sets = [set(c) for c in cliques]
-    cand = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = len(sets[i] & sets[j])
-            cand.append((-w, i, j))
-    cand.sort()
+    if n < 3:  # one possible tree, whatever the weights
+        return [(0, 1)] if n == 2 else []
+    holders = {}
+    for i, c in enumerate(cliques):
+        for v in c:
+            holders.setdefault(v, []).append(i)
+    shared = Counter(chain.from_iterable(combinations(h, 2) for h in holders.values() if len(h) > 1))
+    cand = sorted([(-w, i, j) for (i, j), w in shared.items()])
+    cand += [(0, 0, j) for j in range(1, n)]
     parent = list(range(n))
 
     def find(x):
@@ -137,12 +143,12 @@ def build_junction_tree(
     cards = [bn.cardinalities[v] for v in scope]
     cliques = triangulate(scope, moral_adjacency(dag, scope), cards, table_cap).cliques
 
+    clique_sets = [set(c) for c in cliques]
     tree = []
     for i, j in _spanning_tree(cliques):
-        sep = tuple(v for v in cliques[i] if v in set(cliques[j]))
+        sep = tuple(v for v in cliques[i] if v in clique_sets[j])
         tree.append((i, j, sep))
 
-    clique_sets = [set(c) for c in cliques]
     potentials = [np.ones([bn.cardinalities[v] for v in c], dtype=float) for c in cliques]
     for v in scope:
         if v not in factors:

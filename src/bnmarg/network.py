@@ -151,21 +151,29 @@ class CategoricalBN:
         return ps[:at] + (v,) + ps[at:], np.moveaxis(table, -1, at)
 
     def restrict(self, nodes: Iterable) -> "CategoricalBN":
-        """Induced sub-network; every retained node must keep all its parents."""
+        """Induced sub-network; every retained node must keep all its parents.
+
+        Raises UnknownNodeError for a name outside the network and
+        ArgumentError when a retained node would lose a parent.  The result
+        is built from this already-validated network without re-checking
+        it: it shares the node ids, the read-only CPT arrays and the
+        state-name tuples, and its graph takes this graph's topological
+        order, filtered (see :meth:`Dag.subgraph`).
+        """
         keep = set(nodes)
         sub = self.dag.subgraph(keep)
         for v in sub.node_ids:
-            if not set(self.dag.parents(v)) <= keep:
+            if len(sub._parents[v]) != len(self.dag._parents[v]):
                 raise ArgumentError(
                     f"cannot restrict: node {v!r} loses parents "
                     f"{[p for p in self.dag.parents(v) if p not in keep]}"
                 )
-        return CategoricalBN(
-            sub,
-            {v: self.cardinalities[v] for v in sub.node_ids},
-            {v: self.cpts[v] for v in sub.node_ids},
-            {v: self.state_names[v] for v in sub.node_ids},
-        )
+        net = CategoricalBN.__new__(CategoricalBN)  # trusted: skips __init__'s checks and copies
+        net.dag = sub
+        net.cardinalities = {v: self.cardinalities[v] for v in sub.node_ids}
+        net.cpts = {v: self.cpts[v] for v in sub.node_ids}
+        net.state_names = {v: self.state_names[v] for v in sub.node_ids}
+        return net
 
 
 def derive_seed(seed: int, *key: int) -> int:

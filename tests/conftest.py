@@ -209,6 +209,83 @@ def reference_min_fill(node_ids, adj):
     return tuple(node_ids[v] for v in order), [tuple(node_ids[u] for u in c) for c in cliques]
 
 
+def random_edges(rng, names, p):
+    """Each pair of ``names``, in order, is an edge with probability p."""
+    n = len(names)
+    return [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+def oracle_graphs(rng):
+    """Undirected graphs for the elimination oracle, as (node ids, neighbour
+    positions): fixed shapes whose keys all tie, random graphs of every
+    density, disconnected unions, and moral graphs of networks whose parents
+    may follow their children."""
+    for n in (0, 1, 2, 5, 9):
+        names = tuple(f"v{i}" for i in range(n))
+        yield names, adjacency(names, [])  # empty
+        yield names, adjacency(names, random_edges(rng, names, 1.0))  # complete
+        yield names, adjacency(names, [(names[i], names[(i + 1) % n]) for i in range(n) if n > 2])
+    grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
+    grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
+    names = tuple(f"g{r}{c}" for r in range(3) for c in range(3))
+    yield names, adjacency(names, grid)
+    for _ in range(150):
+        n = int(rng.integers(2, 14))
+        names = tuple(f"n{i}" for i in rng.permutation(n))
+        yield names, adjacency(names, random_edges(rng, names, rng.random()))
+    for _ in range(50):
+        a = tuple(f"a{i}" for i in range(int(rng.integers(1, 7))))
+        edges = random_edges(rng, a, 0.6)
+        b = tuple(f"b{i}" for i in range(int(rng.integers(1, 7))))
+        edges += random_edges(rng, b, 0.6)
+        ids = list(a + b)
+        rng.shuffle(ids)
+        yield tuple(ids), adjacency(ids, edges)
+    for _ in range(100):
+        dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag
+        yield dag.node_ids, adjacency(dag.node_ids, moral_edges(dag))
+
+
+def reference_spanning_tree(cliques):
+    """Maximum-sepset-weight spanning tree by the plain route: every pair of
+    cliques is scored by the size of its intersection, all pairs are sorted
+    by (-weight, i, j), and Kruskal takes them in that order, so empty
+    intersections only join what the weighted pairs leave apart.  Returns
+    the tree edges (i, j) in the order they were taken."""
+    n = len(cliques)
+    sets = [set(c) for c in cliques]
+    cand = sorted((-len(sets[i] & sets[j]), i, j) for i in range(n) for j in range(i + 1, n))
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for _, i, j in cand:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j))
+            if len(edges) == n - 1:
+                break
+    return edges
+
+
+def dag_structure(dag):
+    """Everything a Dag holds, for comparing two graphs field by field."""
+    return (
+        dag.node_ids,
+        dag._index,
+        dag.edges,
+        {v: dag.parents(v) for v in dag.node_ids},
+        {v: dag.children(v) for v in dag.node_ids},
+        dag._topo,
+    )
+
+
 def find_chordless_cycle(adj):
     """A cycle of length >= 4 without a chord, as positions, or None if the
     graph (``adj[i]`` holds the neighbour positions of node i) is chordal.

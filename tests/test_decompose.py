@@ -4,14 +4,16 @@ import pytest
 from bnmarg.decompose import SubsetBoundary, decompose, find_subsets, relevant_subgraph
 from bnmarg.errors import UnknownNodeError
 from bnmarg.graphs import Dag, d_separated
-from bnmarg.network import CategoricalBN, enumerate_marginal
+from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability, sample_forward_array
 
 from conftest import (
+    dag_structure,
     markov_blanket,
     moral_edges,
     rand_bn,
     rand_evidence,
     reordered,
+    sparse_bn,
     two_group_network,
 )
 
@@ -55,6 +57,39 @@ def test_relevant_subgraph_preserves_marginal():
         assert enumerate_marginal(sub, e) == pytest.approx(
             enumerate_marginal(bn, e), rel=1e-10
         )
+
+
+def _validated_restriction(bn, keep):
+    """The restriction to ``keep`` built through the checking constructors."""
+    ids = tuple(v for v in bn.node_ids if v in keep)
+    dag = Dag(ids, [(p, v) for v in ids for p in bn.dag.parents(v) if p in keep])
+    pick = lambda per_node: {v: per_node[v] for v in ids}
+    return CategoricalBN(dag, pick(bn.cardinalities), pick(bn.cpts), pick(bn.state_names))
+
+
+def test_relevant_subgraph_matches_validated_construction():
+    # the restriction that shares the parent's structure and tables is the
+    # network the public constructors build: same graph, same topological
+    # order (so the same forward draws), same tables and log joints
+    rng = np.random.default_rng(53)
+    for trial in range(100):
+        n = int(rng.integers(1, 13))
+        bn = sparse_bn(rng, n) if trial % 4 < 2 else rand_bn(rng, n, rng.random())
+        if trial % 2:
+            bn = reordered(rng, bn)
+        some = rand_evidence(rng, bn, int(rng.integers(1, n + 1)))
+        for e in ({}, some, dict.fromkeys(bn.node_ids, 0)):
+            got = relevant_subgraph(bn, e)
+            want = _validated_restriction(bn, set(e) | set(bn.dag.ancestors_of_set(e)))
+            assert dag_structure(got.dag) == dag_structure(want.dag)
+            assert got.cardinalities == want.cardinalities
+            assert got.state_names == want.state_names
+            assert all(np.array_equal(got.cpts[v], want.cpts[v]) for v in want.node_ids)
+            draws = sample_forward_array(want, 30, trial)
+            assert sample_forward_array(got, 30, trial).tobytes() == draws.tobytes()
+            uniform = {v: int(rng.integers(bn.cardinalities[v])) for v in want.node_ids}
+            for x in (dict(zip(want.node_ids, map(int, draws[0]))), uniform):
+                assert repr(log_joint_probability(got, x)) == repr(log_joint_probability(want, x))
 
 
 def test_find_subsets_examples():

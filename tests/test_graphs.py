@@ -8,12 +8,15 @@ from bnmarg.graphs import Dag, d_separated, moral_adjacency, triangulate
 
 from conftest import (
     adjacency,
+    dag_structure,
     find_chordless_cycle,
     markov_blanket,
     moral_edges,
+    oracle_graphs,
     path_d_separated,
     rand_bn,
     rand_dag,
+    random_edges,
     reference_min_fill,
     reordered,
 )
@@ -163,11 +166,6 @@ def _triangulate(ids, adj):
     return tri, adjacency(ids, edges)
 
 
-def _random_edges(rng, names, p):
-    n = len(names)
-    return [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-
-
 def _edge_count(adj):
     return sum(len(ns) for ns in adj) // 2
 
@@ -191,47 +189,16 @@ def test_triangulate_random_graphs_chordal():
     for _ in range(30):
         n = int(rng.integers(4, 11))
         names = tuple(f"n{i}" for i in range(n))
-        adj = adjacency(names, _random_edges(rng, names, 0.35))
+        adj = adjacency(names, random_edges(rng, names, 0.35))
         _, chordal = _triangulate(names, adj)
         assert all(ns <= cs for ns, cs in zip(adj, chordal))
         assert find_chordless_cycle(chordal) is None
 
 
-def _oracle_graphs(rng):
-    """Undirected graphs for the elimination oracle, as (node ids, neighbour
-    positions): fixed shapes whose keys all tie, random graphs of every
-    density, disconnected unions, and moral graphs of networks whose parents
-    may follow their children."""
-    for n in (0, 1, 2, 5, 9):
-        names = tuple(f"v{i}" for i in range(n))
-        yield names, adjacency(names, [])  # empty
-        yield names, adjacency(names, _random_edges(rng, names, 1.0))  # complete
-        yield names, adjacency(names, [(names[i], names[(i + 1) % n]) for i in range(n) if n > 2])
-    grid = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(3) for c in range(2)]
-    grid += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(2) for c in range(3)]
-    names = tuple(f"g{r}{c}" for r in range(3) for c in range(3))
-    yield names, adjacency(names, grid)
-    for _ in range(150):
-        n = int(rng.integers(2, 14))
-        names = tuple(f"n{i}" for i in rng.permutation(n))
-        yield names, adjacency(names, _random_edges(rng, names, rng.random()))
-    for _ in range(50):
-        a = tuple(f"a{i}" for i in range(int(rng.integers(1, 7))))
-        edges = _random_edges(rng, a, 0.6)
-        b = tuple(f"b{i}" for i in range(int(rng.integers(1, 7))))
-        edges += _random_edges(rng, b, 0.6)
-        ids = list(a + b)
-        rng.shuffle(ids)
-        yield tuple(ids), adjacency(ids, edges)
-    for _ in range(100):
-        dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag
-        yield dag.node_ids, adjacency(dag.node_ids, moral_edges(dag))
-
-
 def test_triangulate_matches_reference_min_fill():
     rng = np.random.default_rng(31)
     count = 0
-    for ids, adj in _oracle_graphs(rng):
+    for ids, adj in oracle_graphs(rng):
         tri, _ = _triangulate(ids, adj)
         order, cliques = reference_min_fill(ids, adj)
         assert tri.elimination_order == order
@@ -247,6 +214,27 @@ def test_moral_adjacency_of_induced_subgraphs():
         keep = [v for v in dag.node_ids if rng.random() < 0.7]
         sub = dag.subgraph(keep)
         assert moral_adjacency(dag, sub.node_ids) == adjacency(sub.node_ids, moral_edges(sub))
+
+
+def test_subgraph_matches_validated_construction():
+    # the induced subgraph built from the parent graph's lists equals the one
+    # the checking constructor builds, on sets that cut parents (order
+    # recomputed) and on sets closed under parents (order inherited)
+    rng = np.random.default_rng(47)
+    cut = 0
+    for trial in range(100):
+        bn = rand_bn(rng, int(rng.integers(1, 14)), rng.random())
+        dag = reordered(rng, bn).dag if trial % 2 else bn.dag
+        keep = {v for v in dag.node_ids if rng.random() < 0.6}
+        if trial % 3 == 0:
+            keep |= set(dag.ancestors_of_set(keep))
+        ids = tuple(v for v in dag.node_ids if v in keep)
+        want = Dag(ids, [(p, v) for v in ids for p in dag.parents(v) if p in keep])
+        assert dag_structure(dag.subgraph(keep)) == dag_structure(want)
+        cut += any(not set(dag.parents(v)) <= keep for v in keep)
+    assert cut > 30
+    with pytest.raises(UnknownNodeError):
+        chain().subgraph({"A", "Z"})
 
 
 def test_d_separated_examples():

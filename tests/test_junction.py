@@ -6,17 +6,20 @@ import pytest
 from bnmarg.decompose import decompose, find_subsets, relevant_subgraph
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
-from bnmarg.graphs import Dag
-from bnmarg.junction import build_junction_tree, incorporate_evidence, log_tree_sum
+from bnmarg.graphs import Dag, moral_adjacency, triangulate
+from bnmarg.junction import _spanning_tree, build_junction_tree, incorporate_evidence, log_tree_sum
 from bnmarg.network import CategoricalBN, log_enumerate_marginal
 
 from conftest import (
     adjacency,
     brute_marginal,
     moral_edges,
+    oracle_graphs,
     rand_bn,
+    rand_dag,
     rand_evidence,
     reference_min_fill,
+    reference_spanning_tree,
     reordered,
     sparse_bn,
 )
@@ -218,3 +221,20 @@ def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
                     assert list(build_junction_tree(net, scope, factors, cap).cliques) == cliques
                 checked += 1
     assert checked > 300
+
+
+def test_spanning_tree_matches_reference_kruskal():
+    # pairs scored from the variable -> cliques index, then the zero-weight
+    # joins, must give the tree that sorting every pair gives, edge for edge
+    rng = np.random.default_rng(43)
+    count = 0
+    for ids, adj in oracle_graphs(rng):
+        cliques = triangulate(ids, adj, [2] * len(ids), math.inf).cliques
+        assert _spanning_tree(cliques) == reference_spanning_tree(cliques)
+        count += 1
+    assert count > 300
+    for n in (500, 1000):  # whole sparse networks: hundreds of cliques, several components
+        dag = rand_dag(rng, n, 1.6 / (n - 1))
+        cliques = triangulate(dag.node_ids, moral_adjacency(dag, dag.node_ids), [2] * n, math.inf).cliques
+        assert len(cliques) > n // 2
+        assert _spanning_tree(cliques) == reference_spanning_tree(cliques)

@@ -54,6 +54,23 @@ def test_construction_checks():
         )
 
 
+def test_restrict_refusals_and_shared_tables():
+    dag = Dag(("A", "B", "C"), [("A", "C"), ("B", "C")])
+    cpts = {"A": [[0.5, 0.5]], "B": [[0.1, 0.9]], "C": [[0.2, 0.8]] * 4}
+    bn = CategoricalBN(dag, dict.fromkeys("ABC", 2), cpts, {"A": ("lo", "hi")})
+    with pytest.raises(ArgumentError, match=r"cannot restrict: node 'C' loses parents \['B'\]"):
+        bn.restrict({"A", "C"})
+    with pytest.raises(UnknownNodeError):
+        bn.restrict({"C", "Z"})  # unknown names are refused before lost parents
+    for keep in ({"B"}, {"A", "B"}, {"A", "B", "C"}):
+        sub = bn.restrict(keep)
+        assert sub.node_ids == tuple(v for v in "ABC" if v in keep)
+        for v in sub.node_ids:
+            assert sub.cpts[v] is bn.cpts[v]
+            assert not sub.cpts[v].flags.writeable
+            assert sub.state_names[v] is bn.state_names[v]
+
+
 def test_validate_reports_defects():
     bn = two_node()
     assert validate(bn) == []
