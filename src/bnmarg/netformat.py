@@ -182,6 +182,7 @@ def parse_network(text: str) -> CategoricalBN:
     if not blocks:
         raise EmptyDocumentError("document declares no variables", 1, 1)
 
+    tables = []  # per block, its cpt numbers as a (rows, states) array
     for b in blocks:
         if not b.states:
             raise NetworkSyntaxError(f"variable {b.name!r} has no 'states' line", b.line, b.col)
@@ -207,9 +208,8 @@ def parse_network(text: str) -> CategoricalBN:
         for vl, vc, x in b.values:
             if not 0.0 <= x <= 1.0:
                 raise CptValueError(f"probability {x!r} outside [0, 1]", vl, vc)
-        flat = np.array([x for _, _, x in b.values], dtype=float).reshape(
-            rows, len(b.states)
-        )
+        flat = np.array([x for _, _, x in b.values], dtype=float).reshape(rows, len(b.states))
+        tables.append(flat)
         sums = flat.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
@@ -228,13 +228,7 @@ def parse_network(text: str) -> CategoricalBN:
 
     cards = {b.name: len(b.states) for b in blocks}
     cpts = {}
-    for b in blocks:
-        rows = 1
-        for pname in b.parents:
-            rows *= cards[pname]
-        flat = np.array([x for _, _, x in b.values], dtype=float).reshape(
-            rows, len(b.states)
-        )
+    for b, flat in zip(blocks, tables):
         r = _complete_rows(flat)
         if r is not None:
             vl, vc, _ = b.values[r * len(b.states)]
@@ -248,7 +242,7 @@ def parse_network(text: str) -> CategoricalBN:
         if tuple(b.parents) != canon:
             shaped = flat.reshape([cards[p] for p in b.parents] + [len(b.states)])
             perm = [b.parents.index(p) for p in canon] + [len(b.parents)]
-            flat = np.transpose(shaped, perm).reshape(rows, len(b.states))
+            flat = np.transpose(shaped, perm).reshape(flat.shape)
         cpts[b.name] = flat
     state_names = {b.name: tuple(b.states) for b in blocks}
     return CategoricalBN(dag, cards, cpts, state_names)

@@ -279,20 +279,13 @@ def log_enumerate_marginal(
         strides[v] = acc
         acc *= bn.cardinalities[v]
     idx = np.arange(n_cfg, dtype=np.int64)
-    states = {}
+    states = dict(e)
     for v in free:
         states[v] = (idx // strides[v]) % bn.cardinalities[v]
 
     logp = np.zeros(n_cfg, dtype=float)
     for v in bn.node_ids:
-        card = bn.cardinalities[v]
-        sv = np.int64(e[v]) if v in e else states[v]
-        row = np.int64(0)
-        for p, stride in zip(bn.dag.parents(v), bn.parent_strides(v)):
-            ps = np.int64(e[p]) if p in e else states[p]
-            row = row + stride * ps
-        flat = row * card + sv
-        logp += _log_cpt(bn.cpts[v]).ravel()[np.asarray(flat)]
+        logp += _log_cpt(bn.cpts[v])[bn.row_index(v, states), states[v]]
     return float(logsumexp(logp))
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
-from .graphs import Dag
+from .graphs import Dag, moral_adjacency
 from .network import CategoricalBN, derive_seed, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
@@ -101,11 +101,9 @@ def adjacency_mean_mb(adj: np.ndarray) -> float:
 
 
 def mean_markov_blanket(dag: Dag) -> float:
-    n = len(dag.node_ids)
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in dag.edges:
-        adj[dag.index(u), dag.index(v)] = True
-    return adjacency_mean_mb(adj)
+    """Mean Markov blanket size: the mean degree of the moral graph."""
+    adj = moral_adjacency(dag, dag.node_ids)
+    return sum(map(len, adj)) / len(adj)
 
 
 @lru_cache(maxsize=None)

@@ -55,59 +55,62 @@ class SamplerConfig:
 class ImportanceDistribution:
     """A fully factorized distribution over a set of nodes.
 
-    probs maps each node to a strictly positive vector summing to one.
+    probs is a float array of shape ``(len(nodes), width)``.  Row i holds
+    the distribution of ``nodes[i]``: its leading entries, one per state,
+    are positive and sum to one, and the entries past its cardinality are
+    zero.
     """
 
     nodes: tuple
-    probs: Mapping
+    probs: np.ndarray
 
     def __post_init__(self):
-        for v in self.nodes:
-            p = np.asarray(self.probs[v], dtype=float)
-            if p.ndim != 1 or p.size < 2:
-                raise ArgumentError(f"proposal for {v!r} must be a 1-d vector")
-            if not np.all(p > 0.0):
-                raise ArgumentError(f"proposal for {v!r} has non-positive entries")
-            if abs(float(p.sum()) - 1.0) > 1e-6:
-                raise ArgumentError(f"proposal for {v!r} does not sum to one")
+        p = np.asarray(self.probs, dtype=float)
+        if p.ndim != 2 or p.shape[0] != len(self.nodes):
+            raise ArgumentError(
+                f"probs must have shape ({len(self.nodes)}, width), got {p.shape}"
+            )
+        # a node's states are its leading positive entries; the rest is padding
+        states = np.logical_and.accumulate(p > 0.0, axis=1)
+        padding = np.any(np.where(states, 0.0, p) != 0.0, axis=1)
+        few = states.sum(axis=1) < 2
+        off = np.abs(p.sum(axis=1) - 1.0) > 1e-6
+        bad = padding | few | off
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = (
+                "has a non-positive state or non-zero padding" if padding[i]
+                else "has fewer than two positive states" if few[i]
+                else "does not sum to one"
+            )
+            raise ArgumentError(f"proposal for {self.nodes[i]!r} {why}")
+        object.__setattr__(self, "probs", p)
 
-    def _by_cardinality(self):
-        """(rows into ``nodes``, stacked probability vectors) per cardinality."""
-        rows = {}
-        for i, v in enumerate(self.nodes):
-            rows.setdefault(len(self.probs[v]), []).append(i)
-        for idx in rows.values():
-            yield idx, np.array([self.probs[self.nodes[i]] for i in idx], dtype=float)
-
-    def sample(self, rng: np.random.Generator, m: int) -> dict:
-        """m iid draws per node (inverse CDF), node order fixed.
+    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m iid draws per node (inverse CDF): a ``(len(nodes), m)`` int
+        matrix whose row i holds the states of ``nodes[i]``.
 
         Row i of one ``(len(nodes), m)`` uniform block drives node i, the same
         stream as one ``rng.random(m)`` call per node in order.
         """
         u = rng.random((len(self.nodes), m))
-        draws = [None] * len(self.nodes)
-        for idx, p in self._by_cardinality():
-            cum = np.cumsum(p, axis=1)
-            u_c = u[idx]
-            # cum never decreases, so counting its first card-1 entries below
-            # u is the state index, capped at the last state
-            hit = np.zeros(u_c.shape, dtype=int)
-            for j in range(p.shape[1] - 1):
-                hit += cum[:, j, None] < u_c
-            for i, d in zip(idx, hit):
-                draws[i] = d
-        return dict(zip(self.nodes, draws))
+        cum = np.cumsum(self.probs, axis=1)
+        # cum never decreases, so counting a node's first card-1 entries below
+        # u is the state index, capped at the last state; the rest never count
+        card = np.count_nonzero(self.probs, axis=1)
+        cum[np.arange(cum.shape[1]) >= card[:, None] - 1] = np.inf
+        draws = np.zeros(u.shape, dtype=int)
+        for j in range(cum.shape[1] - 1):
+            draws += cum[:, j, None] < u
+        return draws
 
-    def log_prob(self, samples: Mapping) -> np.ndarray:
-        """Log density of each joint draw, summed over nodes in node order."""
-        terms = [None] * len(self.nodes)
-        for idx, p in self._by_cardinality():
-            picks = np.array([samples[self.nodes[i]] for i in idx])
-            for i, t in zip(idx, np.take_along_axis(np.log(p), picks, axis=1)):
-                terms[i] = t
+    def log_prob(self, draws: np.ndarray) -> np.ndarray:
+        """Log density of each joint draw (a column of ``draws``, laid out as
+        :meth:`sample` returns it), summed over nodes in node order."""
+        with np.errstate(divide="ignore"):
+            log_p = np.log(self.probs)
         total = 0.0
-        for t in terms:
+        for t in np.take_along_axis(log_p, draws, axis=1):
             total = total + t
         return np.asarray(total, dtype=float)
 
@@ -159,9 +162,10 @@ def loopy_bp(
     schedule), so the result is independent of node order.  Runs up to
     ``cfg.lbp_iterations`` rounds or until the largest belief change drops
     below ``cfg.lbp_tolerance``.  Beliefs are floored at
-    ``cfg.belief_floor`` and renormalized, so the result is strictly
-    positive.  On tree-shaped factor graphs the converged beliefs are the
-    exact conditionals.
+    ``cfg.belief_floor`` and renormalized, so every node's own states are
+    strictly positive; the floored belief matrix, zero past each node's
+    cardinality, is the proposal.  On tree-shaped factor graphs the
+    converged beliefs are the exact conditionals.
 
     Messages live in one array per direction with a row per (factor,
     variable) edge, zero-padded to the largest cardinality.  Factor tables
@@ -252,8 +256,7 @@ def loopy_bp(
 
     floored = np.maximum(beliefs, cfg.belief_floor) * var_live
     floored = floored / floored.sum(axis=1, keepdims=True)
-    probs = {v: floored[i, : card[i]] for i, v in enumerate(free)}
-    return ImportanceDistribution(nodes=tuple(free), probs=probs)
+    return ImportanceDistribution(nodes=tuple(free), probs=floored)
 
 
 def _is_summary(logw: np.ndarray) -> tuple[float, float]:
@@ -305,9 +308,9 @@ def importance_estimate(
     factors = set(factor_nodes)
     if not {v for v in factors if v not in evidence} <= set(q.nodes):
         raise ArgumentError("proposal does not cover the free factor nodes")
-    samples = q.sample(rng, m)
-    logw = _log_weight_terms(bn, factors, samples, evidence, m)
-    log_est, rel = _is_summary(logw - q.log_prob(samples))
+    draws = q.sample(rng, m)
+    logw = _log_weight_terms(bn, factors, dict(zip(q.nodes, draws)), evidence, m)
+    log_est, rel = _is_summary(logw - q.log_prob(draws))
     return ImportanceResult(
         estimate=math.exp(log_est),
         log_estimate=log_est,
@@ -354,8 +357,9 @@ def gibbs_proposal(
     systematic-scan single-site Gibbs over every non-evidence node of ``bn``
     (Markov-blanket conditionals), discards ``burn_in`` sweeps, records
     per-node state frequencies over cfg.sample_count further sweeps, and
-    floors and normalizes them.  Every draw comes from ``rng``, which the
-    ``gs`` baseline goes on to use for its importance samples.
+    floors and normalizes each node's own states.  Every draw comes from
+    ``rng``, which the ``gs`` baseline goes on to use for its importance
+    samples.
     """
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
@@ -366,7 +370,10 @@ def gibbs_proposal(
         state[cols[v]] = int(s)
 
     m = cfg.sample_count
-    counts = {v: [0] * bn.cardinalities[v] for v in free}
+    cards = np.array([bn.cardinalities[v] for v in free], dtype=int)
+    live = np.arange(cards.max(initial=0)) < cards[:, None]
+    rows, free_cols = np.arange(len(free)), [cols[v] for v in free]
+    counts = np.zeros(live.shape)
     for sweep in range(burn_in + m):
         u = rng.random(len(plan))
         for k, (col, own, card, pcols, pstrides, kids) in enumerate(plan):
@@ -396,11 +403,7 @@ def gibbs_proposal(
                         break
                 state[col] = pick
         if sweep >= burn_in:
-            for v in free:
-                counts[v][state[cols[v]]] += 1
+            counts[rows, [state[c] for c in free_cols]] += 1
 
-    probs = {}
-    for v in free:
-        f = np.maximum(np.asarray(counts[v], dtype=float) / m, cfg.belief_floor)
-        probs[v] = f / f.sum()
-    return ImportanceDistribution(nodes=tuple(free), probs=probs)
+    f = np.maximum(counts / m, cfg.belief_floor) * live
+    return ImportanceDistribution(nodes=tuple(free), probs=f / f.sum(axis=1, keepdims=True))

@@ -63,6 +63,17 @@ def test_mean_markov_blanket_on_known_graphs():
     assert adjacency_mean_mb(adj) == pytest.approx(2.0)
 
 
+def test_mean_markov_blanket_matches_dense_adjacency():
+    for family in FAMILIES:
+        for seed in range(6):
+            n = 10 + 17 * seed
+            dag = gen_dag(GenSpec(family=family, n=n, mb_size=1.5 + 0.5 * seed, seed=seed))
+            adj = np.zeros((n, n), dtype=bool)
+            for u, v in dag.edges:
+                adj[dag.index(u), dag.index(v)] = True
+            assert mean_markov_blanket(dag) == adjacency_mean_mb(adj)
+
+
 def test_all_families_generate_dags():
     for family in FAMILIES:
         for seed in range(25):

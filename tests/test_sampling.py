@@ -168,8 +168,11 @@ def test_loopy_bp_matches_reference_message_loop():
                 want_nodes, want = _reference_loopy_bp(net, ev, cfg, nodes, factors)
                 q = loopy_bp(net, ev, cfg, nodes, factors)
                 assert q.nodes == want_nodes
-                for v in q.nodes:
-                    np.testing.assert_allclose(q.probs[v], want[v], rtol=0, atol=1e-12)
+                for v, p in zip(q.nodes, q.probs):
+                    assert not p[net.cardinalities[v] :].any()
+                    np.testing.assert_allclose(
+                        p[: net.cardinalities[v]], want[v], rtol=0, atol=1e-12
+                    )
                 checked += 1
     assert checked > 600
 
@@ -207,8 +210,8 @@ def test_loopy_bp_beliefs_are_pinned():
         for net, ev, nodes, factors in _bp_scopes(bn, e):
             q = loopy_bp(net, ev, cfg, nodes, factors)
             h.update(repr(q.nodes).encode())
-            for v in q.nodes:
-                h.update(q.probs[v].tobytes())
+            for v, p in zip(q.nodes, q.probs):
+                h.update(p[: net.cardinalities[v]].tobytes())
         got.append(h.hexdigest()[:16])
     assert tuple(got) == LOOPY_BP_PINNED
 
@@ -272,17 +275,38 @@ def test_sampler_config_validation():
 
 
 def test_importance_distribution_validation():
-    with pytest.raises(ArgumentError):
-        ImportanceDistribution(nodes=("a",), probs={"a": np.array([0.5, 0.6])})
-    with pytest.raises(ArgumentError):
-        ImportanceDistribution(nodes=("a",), probs={"a": np.array([1.0, 0.0])})
-    with pytest.raises(ArgumentError):
-        ImportanceDistribution(nodes=("a",), probs={"a": np.array([[0.5, 0.5]])})
-    q = ImportanceDistribution(nodes=("a",), probs={"a": np.array([0.25, 0.75])})
-    draws = q.sample(np.random.default_rng(3), 4000)["a"]
+    def refusal(probs, nodes=("a",)):
+        with pytest.raises(ArgumentError) as err:
+            ImportanceDistribution(nodes=nodes, probs=np.array(probs))
+        return str(err.value)
+
+    assert "sum to one" in refusal([[0.5, 0.6]])
+    assert "fewer than two" in refusal([[1.0, 0.0]])
+    # the array must be one row per node
+    assert "shape" in refusal([0.25, 0.75])
+    assert "shape" in refusal([[[0.25, 0.75]]])
+    assert "shape" in refusal([[0.25, 0.75]] * 2)
+    assert "shape" in refusal([[0.25, 0.75]] * 2, nodes=("a", "b", "c"))
+    # rows of mixed width: the error names the first bad node
+    ok = [0.25, 0.75, 0.0, 0.0]
+    padded = [0.4, 0.5, 0.0, 0.1]  # nonzero entry past the node's states
+    hole = [0.5, 0.0, 0.25, 0.25]  # a zero inside the node's states
+    negative = [0.6, 0.5, -0.1, 0.0]
+    nodes = ("a", "b", "c")
+    assert "'b'" in refusal([ok, padded, hole], nodes)
+    assert "'c'" in refusal([ok, ok, hole], nodes)
+    assert "'c'" in refusal([ok, ok, negative], nodes)
+    assert "'a'" in refusal([[0.0, 1.0, 0.0, 0.0], ok, ok], nodes)
+    assert "'b'" in refusal([ok, [0.5, 0.49, 0.0, 0.0], ok], nodes)
+    assert "'b'" in refusal([ok, [1.0, 0.0, 0.0, 0.0], ok], nodes)
+    ImportanceDistribution(nodes=nodes, probs=np.array([ok, [0.2, 0.3, 0.5, 0.0], [0.25] * 4]))
+
+    q = ImportanceDistribution(nodes=("a",), probs=np.array([[0.25, 0.75]]))
+    draws = q.sample(np.random.default_rng(3), 4000)
+    assert draws.shape == (1, 4000)
     assert set(np.unique(draws)) <= {0, 1}
     assert abs(draws.mean() - 0.75) < 0.03
-    lp = q.log_prob({"a": np.array([0, 1])})
+    lp = q.log_prob(np.array([[0, 1]]))
     assert lp == pytest.approx([math.log(0.25), math.log(0.75)])
 
 
@@ -296,18 +320,36 @@ def test_sample_and_log_prob_match_per_node_draws():
         for v in nodes:
             p = rng.random(int(rng.integers(2, 6))) + 1e-9
             probs[v] = p / p.sum()
-        q = ImportanceDistribution(nodes=nodes, probs=probs)
+        # rows of mixed width, zero-padded, sometimes past the widest node
+        width = max(map(len, probs.values())) + int(rng.integers(0, 2))
+        padded = np.zeros((len(nodes), width))
+        for i, v in enumerate(nodes):
+            padded[i, : len(probs[v])] = probs[v]
+        q = ImportanceDistribution(nodes=nodes, probs=padded)
         m = int(rng.integers(1, 300))
         seed = int(rng.integers(1 << 30))
         got = q.sample(np.random.default_rng(seed), m)
+        assert got.shape == (len(nodes), m)
         ref_rng = np.random.default_rng(seed)
         total = 0.0
-        for v in nodes:
+        for v, row in zip(nodes, got):
             cum = np.cumsum(probs[v])
             want = np.minimum((cum < ref_rng.random(m)[:, None]).sum(axis=1), cum.size - 1)
-            np.testing.assert_array_equal(got[v], want)
+            np.testing.assert_array_equal(row, want)
             total = total + np.log(probs[v])[want]
         np.testing.assert_array_equal(q.log_prob(got), total)
+
+
+def test_sample_caps_each_row_at_its_last_state():
+    # rows that sum to just under one: a uniform above a row's total picks
+    # the node's last state, never a padding column
+    class Near1:
+        def random(self, shape):
+            return np.full(shape, 1.0 - 1e-9)
+
+    probs = np.array([[0.5, 0.4999995, 0.0, 0.0], [0.3, 0.3, 0.3999995, 0.0], [0.25] * 4])
+    q = ImportanceDistribution(nodes=("a", "b", "c"), probs=probs)
+    np.testing.assert_array_equal(q.sample(Near1(), 3), [[1] * 3, [2] * 3, [3] * 3])
 
 
 def test_lbp_exact_on_polytrees():
@@ -321,14 +363,14 @@ def test_lbp_exact_on_polytrees():
         e = rand_evidence(rng, bn, int(rng.integers(1, 3)))
         q = loopy_bp(bn, e, cfg)
         pe = brute_marginal(bn, e)
-        for v in q.nodes:
+        for v, p in zip(q.nodes, q.probs):
             card = bn.cardinalities[v]
             cond = np.array(
                 [brute_marginal(bn, {**e, v: k}) / pe for k in range(card)]
             )
             cond = np.maximum(cond, cfg.belief_floor)
             cond = cond / cond.sum()
-            assert np.allclose(np.asarray(q.probs[v]), cond, atol=1e-8)
+            assert np.allclose(p[:card], cond, atol=1e-8)
 
 
 def test_lbp_no_evidence_gives_priors():
@@ -336,11 +378,12 @@ def test_lbp_no_evidence_gives_priors():
     bn = _polytree_bn(rng, 7)
     cfg = SamplerConfig(sample_count=1, lbp_iterations=100, lbp_tolerance=1e-12)
     q = loopy_bp(bn, {}, cfg)
-    for v in bn.node_ids:
+    assert q.nodes == bn.node_ids
+    for v, p in zip(q.nodes, q.probs):
         prior = np.array(
             [brute_marginal(bn, {v: k}) for k in range(bn.cardinalities[v])]
         )
-        assert np.allclose(np.asarray(q.probs[v]), prior, atol=1e-8)
+        assert np.allclose(p[: len(prior)], prior, atol=1e-8)
 
 
 def test_lbp_argument_errors():
@@ -362,7 +405,7 @@ def test_exact_proposal_has_zero_weight_variance():
     bn = CategoricalBN(dag, {"v": 2, "c": 2}, cpts)
     e = {"c": 1}
     post = np.array([0.7 * 0.2, 0.3 * 0.9])
-    q = ImportanceDistribution(nodes=("v",), probs={"v": post / post.sum()})
+    q = ImportanceDistribution(nodes=("v",), probs=(post / post.sum())[None])
     res = importance_estimate(bn, q, ("v", "c"), e, np.random.default_rng(9), 25)
     assert res.estimate == pytest.approx(0.41, rel=1e-12)
     assert res.weight_variance == pytest.approx(0.0, abs=1e-20)
@@ -396,7 +439,7 @@ def test_importance_estimate_requires_covering_proposal():
     e = rand_evidence(rng, bn, 1)
     dec = decompose(bn, e)
     sub, b = dec.subsets[0], dec.boundaries[0]
-    bad = ImportanceDistribution(nodes=("zzz",), probs={"zzz": np.array([0.5, 0.5])})
+    bad = ImportanceDistribution(nodes=("zzz",), probs=np.array([[0.5, 0.5]]))
     with pytest.raises(ArgumentError):
         importance_estimate(bn, bad, set(sub) | set(b.e_ch), e, np.random.default_rng(0), 5)
 
@@ -468,6 +511,20 @@ def test_gibbs_independent_nodes():
     bn = CategoricalBN(dag, {v: 2 for v in "abc"}, cpts)
     got = _estimate(bn, {"a": 1, "b": 0}, "gs", SamplerConfig(sample_count=4000, seed=2))
     assert got == pytest.approx(0.4 * 0.2, rel=0.02)
+
+
+def test_gibbs_proposal_floors_only_own_states():
+    rng = np.random.default_rng(14)
+    bn = rand_bn(rng, 9, 0.4, cards=(2, 3, 5))
+    e = rand_evidence(rng, bn, 2)
+    cfg = SamplerConfig(sample_count=40, belief_floor=1e-3)
+    q = gibbs_proposal(bn, e, cfg, np.random.default_rng(1), burn_in=5)
+    assert q.nodes == tuple(v for v in bn.node_ids if v not in e)
+    cards = [bn.cardinalities[v] for v in q.nodes]
+    assert q.probs.shape == (len(q.nodes), max(cards)) and min(cards) < max(cards)
+    for card, p in zip(cards, q.probs):
+        assert p[:card].min() >= cfg.belief_floor / (1 + card * cfg.belief_floor)
+        assert not p[card:].any()
 
 
 def test_gibbs_matches_enumeration_within_error():
