@@ -24,7 +24,7 @@ from .decompose import decompose, relevant_subgraph
 from .errors import ArgumentError, CapacityError, InternalConsistencyError
 from .junction import DEFAULT_TABLE_CAP, build_junction_tree, incorporate_evidence, log_tree_sum
 from .network import CategoricalBN, derive_seed, log_cpt_product, log_enumerate_marginal, validate_evidence
-from .sampling import SamplerConfig, gibbs_proposal, importance_estimate, loopy_bp
+from .sampling import SamplerConfig, clamp_factors, gibbs_proposal, importance_estimate, loopy_bp
 
 METHODS = ("sgs", "jt", "lbp-is", "gs", "enum")
 _METHOD_ALIASES = {"jt_full": "jt", "lbp_is": "lbp-is", "gibbs": "gs"}
@@ -127,13 +127,11 @@ def _log_exact(bn: CategoricalBN, scope, factors, values: Mapping, table_cap: in
     return log_tree_sum(incorporate_evidence(jt, values))
 
 
-def _sampled_report(
-    nodes: tuple, bn: CategoricalBN, q, factors, values: Mapping, rng, m: int
-) -> SubsetReport:
-    """Importance estimate of the sum :func:`_log_exact` computes, from ``m``
-    draws of proposal ``q`` (loopy-BP beliefs or Gibbs frequencies) made
-    with ``rng``."""
-    res = importance_estimate(bn, q, factors, values, rng, m)
+def _sampled_report(nodes: tuple, factors, q, rng, m: int) -> SubsetReport:
+    """Importance estimate of the sum :func:`_log_exact` computes, over the
+    clamped ``factors``, from ``m`` draws of proposal ``q`` (loopy-BP
+    beliefs or Gibbs frequencies) made with ``rng``."""
+    res = importance_estimate(factors, q, rng, m)
     return SubsetReport(nodes, "approx", res.log_estimate, res.sample_count, res.weight_variance)
 
 
@@ -174,8 +172,9 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     for i, sub, scope, factors, values in sampled:
         m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total_size)))
         rng = np.random.default_rng(derive_seed(cfg.sampler.seed, i))
-        q = loopy_bp(rel, values, cfg.sampler, nodes=scope, factor_nodes=factors)
-        reports[i] = _sampled_report(sub, rel, q, factors, values, rng, m)
+        clamped = clamp_factors(rel, values, scope, factors)
+        q = loopy_bp(rel, values, cfg.sampler, nodes=scope, factor_nodes=factors, clamped=clamped)
+        reports[i] = _sampled_report(sub, clamped, q, rng, m)
 
     log_total = 0.0
     for r in reports:  # subset order, so the sum does not depend on solving order
@@ -200,11 +199,12 @@ def _whole_graph_sampled(
     if all(v in evidence for v in net.node_ids):
         return SubsetReport(free, "approx", evidence_only_factor(net, net.node_ids, evidence), 0, 0.0)
     rng = np.random.default_rng(int(sampler.seed))
+    clamped = clamp_factors(net, evidence)
     if name == "lbp-is":
-        q = loopy_bp(net, evidence, sampler)
+        q = loopy_bp(net, evidence, sampler, clamped=clamped)
     else:
         q = gibbs_proposal(net, evidence, sampler, rng)  # the weights continue its stream
-    return _sampled_report(free, net, q, net.node_ids, evidence, rng, sampler.sample_count)
+    return _sampled_report(free, clamped, q, rng, sampler.sample_count)
 
 
 def marginal(

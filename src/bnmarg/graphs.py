@@ -87,16 +87,22 @@ class Dag:
             self.index(v)
 
     def parents(self, v) -> tuple:
-        self.index(v)
-        return self._parents[v]
+        try:
+            return self._parents[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
 
     def children(self, v) -> tuple:
-        self.index(v)
-        return self._children[v]
+        try:
+            return self._children[v]
+        except KeyError:
+            raise UnknownNodeError(f"unknown node {v!r}") from None
 
     def sort(self, nodes: Iterable) -> tuple:
         """Return the given nodes as a tuple in canonical order."""
-        return tuple(sorted(nodes, key=self.index))
+        nodes = list(nodes)
+        self.check_nodes(nodes)
+        return tuple(sorted(nodes, key=self._index.__getitem__))
 
     def ancestors_of_set(self, nodes: Iterable) -> tuple:
         """Union of strict ancestors of the given nodes, canonical order."""

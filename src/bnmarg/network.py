@@ -8,9 +8,10 @@ node order and the last parent least significant, i.e. row index
     row = x[p1]*C[p2]*...*C[pk] + x[p2]*C[p3]*...*C[pk] + ... + x[pk]
 
 for parents p1 < p2 < ... < pk in canonical order.  Two methods read this
-layout, and nothing outside this module repeats it: ``CategoricalBN.row_index``
-looks rows up for one assignment or a vector of them, and
-``CategoricalBN.family_table`` views a CPT with one axis per family member.
+layout: ``CategoricalBN.row_index`` looks rows up for one assignment or a
+vector of them, and ``CategoricalBN.family_table`` views a CPT with one axis
+per family member.  The one other reader is ``sampling.clamp_factors``, whose
+loop over every factor node makes the same view inline.
 
 All probability accumulation happens in log space; sums of probabilities go
 through a stable log-sum-exp reduction.

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, InternalConsistencyError
-from .network import CategoricalBN, _log_cpt, sample_forward_array
+from .errors import ArgumentError
+from .network import CategoricalBN, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,38 @@ class ImportanceDistribution:
         Row i of one ``(len(nodes), m)`` uniform block drives node i, the same
         stream as one ``rng.random(m)`` call per node in order.
         """
-        u = rng.random((len(self.nodes), m))
+        return self._inverse_cdf()(rng.random((len(self.nodes), m)))
+
+    def _inverse_cdf(self):
+        """The function from a block of uniforms to the states it picks, row
+        i for node i; a column slice of a block picks what the block does."""
         cum = np.cumsum(self.probs, axis=1)
         # cum never decreases, so counting a node's first card-1 entries below
         # u is the state index, capped at the last state; the rest never count
         card = np.count_nonzero(self.probs, axis=1)
         cum[np.arange(cum.shape[1]) >= card[:, None] - 1] = np.inf
-        draws = np.zeros(u.shape, dtype=int)
-        for j in range(cum.shape[1] - 1):
-            draws += cum[:, j, None] < u
-        return draws
+
+        def states(u):
+            draws = np.zeros(u.shape, dtype=int)
+            for j in range(cum.shape[1] - 1):
+                draws += cum[:, j, None] < u
+            return draws
+
+        return states
+
+    def _log_density(self):
+        """The function :meth:`log_prob` applies: one gather from the
+        flattened ``log(probs)``, the node terms added in node order."""
+        with np.errstate(divide="ignore"):
+            flat = np.log(self.probs).ravel()
+        rows = np.arange(0, flat.size, self.probs.shape[1])[:, None]
+        return lambda draws: _sum_rows(flat[rows + draws])
 
     def log_prob(self, draws: np.ndarray) -> np.ndarray:
         """Log density of each joint draw (a column of ``draws``, laid out as
-        :meth:`sample` returns it), summed over nodes in node order."""
-        with np.errstate(divide="ignore"):
-            log_p = np.log(self.probs)
-        total = 0.0
-        for t in np.take_along_axis(log_p, draws, axis=1):
-            total = total + t
-        return np.asarray(total, dtype=float)
+        :meth:`sample` returns it): one gather from the flattened
+        ``log(probs)``, the node terms added in node order."""
+        return self._log_density()(draws)
 
 
 @dataclass(frozen=True)
@@ -130,20 +142,146 @@ class ImportanceResult:
     sample_count: int
 
 
-def _reduced_factor(bn: CategoricalBN, v, evidence: Mapping):
-    """CPT of v with observed family members fixed; returns (free_vars, table).
-
-    The table's axes follow the canonical order of the free family members.
-    """
-    family, table = bn.family_table(v)
-    table = table[tuple(int(evidence[u]) if u in evidence else slice(None) for u in family)]
-    return tuple(u for u in family if u not in evidence), table
-
-
 def _normalized(rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     """Each row divided by its sum; rows summing to zero become ``uniform``."""
     s = rows.sum(axis=1, keepdims=True)
     return np.divide(rows, s, out=uniform.copy(), where=s > 0)
+
+
+BLOCK = 128  # draws per column block of the importance weights
+
+
+def _sum_rows(t: np.ndarray) -> np.ndarray:
+    """The rows of ``t`` added one after another, first to last.
+
+    NumPy's ``add.reduce`` over the first axis does exactly that when there
+    are two or more columns, but sums a single column pairwise, which can
+    differ in the last bit; ``cumsum`` is sequential in every case.
+    """
+    if t.shape[1] == 1 and len(t):
+        return np.cumsum(t, axis=0)[-1]
+    return np.add.reduce(t, axis=0)
+
+
+@dataclass(frozen=True)
+class ClampedFactors:
+    """The CPTs of a set of factor nodes with the evidence fixed, stacked per
+    table shape, as :func:`clamp_factors` builds them.
+
+    ``free`` holds the free nodes of the scope in node order, ``cards`` their
+    cardinalities.  Each group is ``(tables, edges, rows)``:
+    - the clamped tables of one shape, stacked; a table's axes are its
+      factor's free family members in node order, and a factor whose family
+      is all observed is a constant of shape ``()``;
+    - the ``(k, ndim)`` ids of those (factor, variable) edges, numbered
+      factor by factor in node order; ``edge_var[e]`` is edge e's index
+      into ``free``;
+    - each factor's position among all ``size`` factors in node order.
+    """
+
+    free: tuple
+    cards: np.ndarray
+    edge_var: np.ndarray
+    groups: tuple
+    size: int
+
+    def _log_weights(self, q: "ImportanceDistribution"):
+        """A function from a block of draws of ``q`` (a column slice of what
+        ``q.sample`` returns) to the log of the product of the factors for
+        each column: one gather per shape group from ``np.log`` of the
+        stacked tables, and the factor terms added in node order."""
+        at = {v: i for i, v in enumerate(q.nodes)}
+        q_row = np.array([at.get(v, -1) for v in self.free], dtype=np.intp)
+        plan = []  # per group: flat log tables, table offsets, (draw rows, stride) per axis, rows
+        with np.errstate(divide="ignore"):
+            for tables, edges, rows in self.groups:
+                draw_rows = q_row[self.edge_var[edges]]
+                if (draw_rows < 0).any():
+                    raise ArgumentError("proposal does not cover the free factor nodes")
+                shape = tables.shape[1:]
+                size = math.prod(shape)
+                axes = [(draw_rows[:, j], math.prod(shape[j + 1 :])) for j in range(len(shape))]
+                offsets = np.arange(0, size * len(tables), size)[:, None]
+                plan.append((np.log(tables).ravel(), offsets, axes, rows))
+
+        def log_weights(draws):
+            terms = np.empty((self.size, draws.shape[1]))
+            for flat, idx, axes, rows in plan:
+                for draw_rows, stride in axes:
+                    x = draws[draw_rows]  # a fresh array: safe to update in place
+                    if stride != 1:
+                        x *= stride
+                    x += idx
+                    idx = x
+                terms[rows] = flat[idx]
+            return _sum_rows(terms)
+
+        return log_weights
+
+
+def clamp_factors(
+    bn: CategoricalBN,
+    evidence: Mapping,
+    nodes: Optional[Iterable] = None,
+    factor_nodes: Optional[Iterable] = None,
+) -> ClampedFactors:
+    """One factor per node of ``factor_nodes`` (default: the scope), its CPT
+    with the observed family members fixed, over the free nodes of the
+    scope ``nodes`` (default: the whole network).
+
+    Refuses factor nodes outside the scope, a factor whose family reaches
+    outside it, and a scope with no free node.
+    """
+    dag = bn.dag
+    scope = set(dag.node_ids) if nodes is None else set(nodes)
+    dag.check_nodes(scope)
+    factors_of = scope if factor_nodes is None else set(factor_nodes)
+    if not factors_of <= scope:
+        raise ArgumentError("factor_nodes must lie inside the scope")
+    free = [v for v in dag.node_ids if v in scope and v not in evidence]
+    if not free:
+        raise ArgumentError("no free nodes to form a proposal over")
+
+    index, parents, cards, cpts = dag._index, dag._parents, bn.cardinalities, bn.cpts
+    var_of = {v: i for i, v in enumerate(free)}
+    everything = slice(None)
+    state = {u: int(s) for u, s in evidence.items()}.get
+    edge_var = []  # variable of each edge; a factor's edges are contiguous
+    shapes = {}  # table shape -> ([table], [edge ids by position], [row])
+    for row, v in enumerate(sorted(factors_of, key=index.__getitem__)):
+        ps = parents[v]
+        if not scope.issuperset(ps):
+            raise ArgumentError(f"family of factor node {v!r} reaches outside the scope")
+        family = ps + (v,)
+        key = tuple([state(u, everything) for u in family])
+        fvars = [u for u, k in zip(family, key) if k is everything]
+        table = cpts[v].reshape([cards[u] for u in family])[key]
+        if key[-1] is everything and len(fvars) > 1 and index[fvars[-2]] > index[v]:
+            # v's axis is last in the CPT; in node order it follows the free
+            # parents that precede it
+            at = len(fvars) - 1
+            while at and index[fvars[at - 1]] > index[v]:
+                at -= 1
+            table = np.moveaxis(table, -1, at)
+            fvars.insert(at, fvars.pop())
+        group = shapes.get(table.shape)
+        if group is None:
+            group = shapes[table.shape] = ([], [], [])
+        group[0].append(table)
+        group[1].append(range(len(edge_var), len(edge_var) + len(fvars)))
+        group[2].append(row)
+        edge_var += [var_of[u] for u in fvars]
+    groups = tuple(
+        (np.stack(t), np.array(e, dtype=np.intp), np.array(r, dtype=np.intp))
+        for t, e, r in shapes.values()
+    )
+    return ClampedFactors(
+        free=tuple(free),
+        cards=np.array([cards[v] for v in free]),
+        edge_var=np.array(edge_var, dtype=np.intp),
+        groups=groups,
+        size=len(factors_of),
+    )
 
 
 def loopy_bp(
@@ -152,6 +290,7 @@ def loopy_bp(
     cfg: SamplerConfig,
     nodes: Optional[Iterable] = None,
     factor_nodes: Optional[Iterable] = None,
+    clamped: Optional[ClampedFactors] = None,
 ) -> ImportanceDistribution:
     """Factor-graph sum-product beliefs as a factorized proposal.
 
@@ -167,40 +306,24 @@ def loopy_bp(
     cardinality, is the proposal.  On tree-shaped factor graphs the
     converged beliefs are the exact conditionals.
 
+    The rounds run on the factors :func:`clamp_factors` builds from the
+    same arguments; a caller that goes on to weight draws with
+    :func:`importance_estimate` builds them once and passes them as
+    ``clamped``, and the other arguments are then not read again.
     Messages live in one array per direction with a row per (factor,
     variable) edge, zero-padded to the largest cardinality.  Factor tables
     are stacked per distinct shape, so a round costs a few array operations
     per shape and per variable degree rather than one per message.
     """
-    dag = bn.dag
-    scope = set(dag.node_ids) if nodes is None else set(nodes)
-    dag.check_nodes(scope)
-    factors_of = set(scope) if factor_nodes is None else set(factor_nodes)
-    if not factors_of <= scope:
-        raise ArgumentError("factor_nodes must lie inside the scope")
-    free = [v for v in dag.node_ids if v in scope and v not in evidence]
-    if not free:
-        raise ArgumentError("no free nodes to form a proposal over")
+    if clamped is None:
+        clamped = clamp_factors(bn, evidence, nodes, factor_nodes)
+    free, edge_var = clamped.free, clamped.edge_var
+    groups = [(tables, edges) for tables, edges, _ in clamped.groups if edges.shape[1]]
 
-    var_of = {v: i for i, v in enumerate(free)}
-    edge_var = []  # variable of each edge; a factor's edges are contiguous
-    shapes = {}  # table shape -> ([table], [edge ids by position])
-    for v in dag.sort(factors_of):
-        if not set(dag.parents(v)) <= scope:
-            raise ArgumentError(f"family of factor node {v!r} reaches outside the scope")
-        fvars, table = _reduced_factor(bn, v, evidence)
-        if fvars:
-            tables, edges = shapes.setdefault(table.shape, ([], []))
-            tables.append(table)
-            edges.append(range(len(edge_var), len(edge_var) + len(fvars)))
-            edge_var.extend(var_of[u] for u in fvars)
-    groups = [(np.stack(t), np.array(e, dtype=np.intp)) for t, e in shapes.values()]
-
-    card = np.array([bn.cardinalities[v] for v in free])
+    card = clamped.cards
     width = int(card.max())
     var_live = (np.arange(width) < card[:, None]).astype(float)
     var_uniform = var_live / card[:, None]
-    edge_var = np.array(edge_var, dtype=np.intp)
     edge_live = var_live[edge_var]
     edge_uniform = var_uniform[edge_var]
 
@@ -274,43 +397,31 @@ def _is_summary(logw: np.ndarray) -> tuple[float, float]:
     return m + math.log(m1), rel
 
 
-def _log_weight_terms(
-    bn: CategoricalBN, factor_nodes: Iterable, samples: Mapping, evidence: Mapping, m: int
-) -> np.ndarray:
-    """Sum of log CPT lookups for the given factor nodes, vectorized over samples."""
-    states = {**samples, **evidence}
-    logw = np.zeros(m)
-    for v in bn.dag.sort(set(factor_nodes)):
-        try:
-            row = bn.row_index(v, states)
-        except KeyError as exc:
-            raise InternalConsistencyError(
-                f"factor {v!r} depends on {exc.args[0]!r}, which is neither sampled nor observed"
-            ) from None
-        logw = logw + _log_cpt(bn.cpts[v])[row, states[v]]
-    return logw
-
-
 def importance_estimate(
-    bn: CategoricalBN,
+    factors: ClampedFactors,
     q: ImportanceDistribution,
-    factor_nodes: Iterable,
-    evidence: Mapping,
     rng: np.random.Generator,
     m: int,
 ) -> ImportanceResult:
-    """Unbiased importance estimate of sum_x prod_{v in factor_nodes} CPT_v(x, e).
+    """Unbiased importance estimate of the sum over the free nodes of the
+    product of the clamped ``factors``.
 
-    Draws m joint configurations of every node of q from ``rng`` and averages
-    w = prod_v CPT_v(x, e) / q(x).  Every free factor node must be one of
-    q's nodes.
+    Draws m joint configurations of every node of q from ``rng``, as
+    ``q.sample`` does, and averages w = prod_f factor_f(x) / q(x).  Every
+    free node a factor depends on must be one of q's nodes.  The weights
+    are computed in column blocks of at most ``BLOCK`` draws, so apart from
+    the uniforms and the m weights every temporary is block-sized; in each
+    block, log w is the factor terms added in node order less
+    ``q.log_prob``, bit for bit.
     """
-    factors = set(factor_nodes)
-    if not {v for v in factors if v not in evidence} <= set(q.nodes):
-        raise ArgumentError("proposal does not cover the free factor nodes")
-    draws = q.sample(rng, m)
-    logw = _log_weight_terms(bn, factors, dict(zip(q.nodes, draws)), evidence, m)
-    log_est, rel = _is_summary(logw - q.log_prob(draws))
+    log_weights, states, log_density = factors._log_weights(q), q._inverse_cdf(), q._log_density()
+    u = rng.random((len(q.nodes), m))
+    logw = np.empty(m)
+    for start in range(0, m, BLOCK):
+        c = slice(start, start + BLOCK)
+        draws = states(u[:, c])
+        logw[c] = log_weights(draws) - log_density(draws)
+    log_est, rel = _is_summary(logw)
     return ImportanceResult(
         estimate=math.exp(log_est),
         log_estimate=log_est,

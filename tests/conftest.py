@@ -49,10 +49,10 @@ def rand_evidence(rng, bn, count):
     }
 
 
-def sparse_bn(rng, n):
+def sparse_bn(rng, n, p=0.35):
     """Random network with cardinalities 2-5, about 40 % zero CPT entries and
     some deterministic rows."""
-    bn = rand_bn(rng, n, 0.35, cards=(2, 3, 4, 5))
+    bn = rand_bn(rng, n, p, cards=(2, 3, 4, 5))
     cpts = {}
     for v in bn.node_ids:
         t = np.array(bn.cpts[v])
@@ -83,6 +83,29 @@ def brute_marginal(bn, evidence):
         for v in bn.node_ids:
             term *= float(bn.cpts[v][bn.row_index(v, x), x[v]])
         total += term
+    return total
+
+
+def reference_log_weights(bn, factor_nodes, samples, evidence, m):
+    """Sum of log CPT lookups for the given factor nodes, one factor at a time
+    in node order, vectorized over the m samples: the route the importance
+    weights took before they were computed from stacked clamped tables."""
+    states = {**samples, **evidence}
+    logw = np.zeros(m)
+    with np.errstate(divide="ignore"):
+        for v in bn.dag.sort(set(factor_nodes)):
+            logw = logw + np.log(bn.cpts[v])[bn.row_index(v, states), states[v]]
+    return logw
+
+
+def reference_log_prob(q, draws):
+    """Log density under ``q`` of each column of ``draws``, the node terms
+    added one at a time in node order."""
+    with np.errstate(divide="ignore"):
+        log_p = np.log(q.probs)
+    total = np.zeros(draws.shape[1])
+    for t in np.take_along_axis(log_p, draws, axis=1):
+        total = total + t
     return total
 
 

@@ -75,6 +75,14 @@ def test_relations_isolated():
             query("Z")
 
 
+def test_lookups_refuse_unknown_names():
+    dag = chain()
+    assert dag.sort(iter(["C", "A"])) == ("A", "C")
+    for query in (dag.parents, dag.children, lambda v: dag.sort(["A", v, "C"])):
+        with pytest.raises(UnknownNodeError, match="unknown node 'Z'"):
+            query("Z")
+
+
 def test_relations_against_edge_composition():
     # ancestors_of_set must match the transitive closure obtained by
     # repeatedly composing the edge relation, for single nodes and for sets

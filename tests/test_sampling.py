@@ -1,9 +1,11 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from bnmarg import sampling
 from bnmarg.decompose import decompose, relevant_subgraph
 from bnmarg.engine import SgsConfig, marginal
 from bnmarg.errors import ArgumentError
@@ -12,12 +14,22 @@ from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probabil
 from bnmarg.sampling import (
     ImportanceDistribution,
     SamplerConfig,
+    _is_summary,
+    clamp_factors,
     gibbs_proposal,
     importance_estimate,
     loopy_bp,
 )
 
-from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
+from conftest import (
+    brute_marginal,
+    rand_bn,
+    rand_evidence,
+    reference_log_prob,
+    reference_log_weights,
+    reordered,
+    sparse_bn,
+)
 
 
 def _estimate(bn, e, method, sampler):
@@ -48,7 +60,7 @@ def _family_table(bn, v, family):
     """CPT of v as an array whose axes follow the canonical family order."""
     ps = bn.dag.parents(v)
     shape = [bn.cardinalities[p] for p in ps] + [bn.cardinalities[v]]
-    t = bn.cpts[v].reshape(shape)
+    t = np.asarray(bn.cpts[v]).reshape(shape)
     current = tuple(ps) + (v,)
     perm = [current.index(u) for u in family]
     return np.transpose(t, perm)
@@ -406,7 +418,7 @@ def test_exact_proposal_has_zero_weight_variance():
     e = {"c": 1}
     post = np.array([0.7 * 0.2, 0.3 * 0.9])
     q = ImportanceDistribution(nodes=("v",), probs=(post / post.sum())[None])
-    res = importance_estimate(bn, q, ("v", "c"), e, np.random.default_rng(9), 25)
+    res = importance_estimate(clamp_factors(bn, e), q, np.random.default_rng(9), 25)
     assert res.estimate == pytest.approx(0.41, rel=1e-12)
     assert res.weight_variance == pytest.approx(0.0, abs=1e-20)
     assert res.sample_count == 25
@@ -425,9 +437,10 @@ def test_importance_estimate_unbiased_within_error_bars():
         cfg = SamplerConfig(sample_count=20000, seed=int(rng.integers(1 << 30)))
         rel = relevant_subgraph(bn, e)
         factors = set(sub) | set(b.e_ch)
-        q = loopy_bp(rel, e, cfg, nodes=set(sub) | set(b.e_mb), factor_nodes=factors)
+        clamped = clamp_factors(rel, e, set(sub) | set(b.e_mb), factors)
+        q = loopy_bp(rel, e, cfg, clamped=clamped)
         draws = np.random.default_rng(cfg.seed)
-        res = importance_estimate(rel, q, factors, e, draws, cfg.sample_count)
+        res = importance_estimate(clamped, q, draws, cfg.sample_count)
         truth = math.exp(marginal(bn, e, "sgs", SgsConfig(n_max=999)).per_subset[i].log_factor)
         se = res.estimate * math.sqrt(res.weight_variance / res.sample_count)
         assert abs(res.estimate - truth) <= 4.0 * se + 1e-12
@@ -439,9 +452,96 @@ def test_importance_estimate_requires_covering_proposal():
     e = rand_evidence(rng, bn, 1)
     dec = decompose(bn, e)
     sub, b = dec.subsets[0], dec.boundaries[0]
+    clamped = clamp_factors(bn, e, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch))
     bad = ImportanceDistribution(nodes=("zzz",), probs=np.array([[0.5, 0.5]]))
-    with pytest.raises(ArgumentError):
-        importance_estimate(bn, bad, set(sub) | set(b.e_ch), e, np.random.default_rng(0), 5)
+    with pytest.raises(ArgumentError, match="does not cover the free factor nodes"):
+        importance_estimate(clamped, bad, np.random.default_rng(0), 5)
+
+
+def test_clamp_factors_refusals():
+    dag = Dag(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    cpts = {"a": [[0.3, 0.7]], "b": [[0.9, 0.1], [0.2, 0.8]], "c": [[0.5, 0.5], [0.6, 0.4]]}
+    bn = CategoricalBN(dag, {v: 2 for v in "abc"}, cpts)
+    with pytest.raises(ArgumentError, match="family of factor node 'b' reaches outside the scope"):
+        clamp_factors(bn, {}, nodes=("b", "c"))
+    with pytest.raises(ArgumentError, match="factor_nodes must lie inside the scope"):
+        clamp_factors(bn, {}, nodes=("a", "b"), factor_nodes=("b", "c"))
+    with pytest.raises(ArgumentError, match="no free nodes"):
+        clamp_factors(bn, {"a": 0, "b": 1, "c": 0})
+    # the proposal must cover every free node a factor reads, a parent too
+    clamped = clamp_factors(bn, {"c": 1}, factor_nodes=("b", "c"))
+    assert clamped.free == ("a", "b") and clamped.size == 2
+    partial = ImportanceDistribution(nodes=("b",), probs=np.array([[0.5, 0.5]]))
+    with pytest.raises(ArgumentError, match="does not cover"):
+        importance_estimate(clamped, partial, np.random.default_rng(0), 5)
+
+
+def test_stacked_log_tables_equal_each_tables_log():
+    # the weights take np.log of whole stacks; each stacked table, and its
+    # log, must equal the clamped CPT, and the clamped log CPT, byte for byte
+    rng = np.random.default_rng(34)
+    checked = 0
+    for trial in range(60):
+        bn = sparse_bn(rng, int(rng.integers(3, 12)))
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(0, len(bn))))
+        with np.errstate(divide="ignore"):
+            logged = SimpleNamespace(
+                dag=bn.dag,
+                cardinalities=bn.cardinalities,
+                cpts={v: np.log(t) for v, t in bn.cpts.items()},
+            )
+        for net, ev, nodes, factors in _bp_scopes(bn, e):
+            if all(v in ev for v in (nodes or net.node_ids)):
+                continue
+            clamped = clamp_factors(net, ev, nodes, factors)
+            order = net.dag.sort(net.node_ids if factors is None else factors)
+            assert clamped.size == len(order)
+            rows = []
+            for tables, edges, at in clamped.groups:
+                with np.errstate(divide="ignore"):
+                    stacked = np.log(tables)
+                for table, log_table, es, row in zip(tables, stacked, edges, at):
+                    v = order[row]
+                    fvars, want = _reference_reduced_factor(net, v, ev)
+                    assert tuple(clamped.free[i] for i in clamped.edge_var[es]) == fvars
+                    assert table.shape == want.shape and table.tobytes() == want.tobytes()
+                    _, want_log = _reference_reduced_factor(logged, v, ev)
+                    assert log_table.tobytes() == want_log.tobytes()
+                    rows.append(row)
+                    checked += 1
+            assert sorted(rows) == list(range(len(order)))
+    assert checked > 400
+
+
+def test_weights_and_log_density_add_terms_in_node_order():
+    # NumPy adds the rows of a two-column block one after another but sums a
+    # single column pairwise; every block width, the one-column tail past
+    # BLOCK too, must give the one-term-at-a-time sums bit for bit, -inf
+    # terms from zero CPT entries included
+    rng = np.random.default_rng(33)
+    infinite = 0
+    for trial in range(24):
+        bn = sparse_bn(rng, int(rng.integers(18, 27)), p=0.1)
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(1, len(bn) // 2)))
+        clamped = clamp_factors(bn, e)
+        q = loopy_bp(bn, e, SamplerConfig(sample_count=1), clamped=clamped)
+        assert clamped.size > 16 and len(q.nodes) > 8
+        for m in (1, 2, 3, sampling.BLOCK + 1):
+            seed = int(rng.integers(1 << 30))
+            draws = q.sample(np.random.default_rng(seed), m)
+            want_w = reference_log_weights(bn, bn.node_ids, dict(zip(q.nodes, draws)), e, m)
+            want_q = reference_log_prob(q, draws)
+            assert clamped._log_weights(q)(draws).tobytes() == want_w.tobytes()
+            assert q.log_prob(draws).tobytes() == want_q.tobytes()
+            res = importance_estimate(clamped, q, np.random.default_rng(seed), m)
+            log_est, rel = _is_summary(want_w - want_q)
+            assert (res.log_estimate, res.weight_variance) == (log_est, rel)
+            infinite += int(np.isneginf(want_w).sum())
+    assert infinite > 0
 
 
 def test_lbp_is_no_evidence_is_one():
