@@ -32,7 +32,7 @@ class PartialRecord:
         overlap = set(self.observed) & set(self.missing)
         if overlap:
             raise ClassificationError(
-                f"record marks observed variables as missing: {sorted(overlap)}"
+                f"record marks observed variables as missing: {sorted(overlap, key=str)}"
             )
 
 
@@ -63,7 +63,7 @@ def _resolve_evidence(record: PartialRecord, bn: CategoricalBN, model_name: str)
     evidence = {}
     used = []
     unresolved = []
-    for var in sorted(map(str, record.observed)):
+    for var in sorted(record.observed, key=str):  # node ids need not be strings
         if var not in bn.dag:
             unresolved.append(var)
             continue

@@ -74,7 +74,7 @@ class SgsConfig:
                     raise ArgumentError(f"method_override[{k!r}] must be 'exact' or 'approx'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetReport:
     """Provenance of one subset factor inside a MarginalEstimate."""
 
@@ -85,7 +85,7 @@ class SubsetReport:
     weight_variance: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarginalEstimate:
     """A marginal probability with per-subset provenance.
 

@@ -216,11 +216,13 @@ class Triangulation:
 
     ``elimination_order`` lists the node ids in elimination order; ``cliques``
     are the maximal cliques of the chordal completion, each a tuple in node
-    order, sorted by their position tuples.
+    order, sorted by their position tuples; ``positions`` holds those
+    position tuples, clique for clique.
     """
 
     elimination_order: tuple
     cliques: tuple
+    positions: tuple
 
 
 def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:
@@ -228,10 +230,14 @@ def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:
     the parent lists: entry i holds the positions (in ``nodes``) of the
     neighbours of ``nodes[i]``."""
     pos = {v: i for i, v in enumerate(nodes)}
-    adj = [set() for _ in nodes]
-    for i, v in enumerate(nodes):
-        family = [pos[p] for p in dag._parents[v] if p in pos]
-        family.append(i)
+    return moral_graph([[pos[p] for p in dag._parents[v] if p in pos] + [i] for i, v in enumerate(nodes)])
+
+
+def moral_graph(families: Sequence[list]) -> list[set]:
+    """The undirected graph in which each family (a list of positions) is a
+    clique: entry i holds the neighbour positions of position i."""
+    adj = [set() for _ in families]
+    for family in families:
         for a in family:
             adj[a].update(family)
     for i, ns in enumerate(adj):
@@ -264,54 +270,79 @@ def triangulate(
     once.  Every maximal clique of the chordal completion is an elimination
     clique and every elimination clique lies in a maximal one, so this
     refuses exactly the graphs whose largest clique table exceeds the cap.
+
+    Once the graph left is complete, min-fill would take it in node order
+    (every key ties), and of its elimination cliques only the first, the
+    whole rest, can be maximal; so the rest is taken at once.  A complete
+    graph returns without a single min-fill step.
     """
     n = len(node_ids)
-    adj = [set(ns) for ns in adjacency]
-    fill = [_fill_count(adj, v) for v in range(n)]
-    heap = [(fill[v], len(adj[v]), v) for v in range(n)]
-    heapq.heapify(heap)
+    edges = sum(map(len, adjacency)) // 2
+    left = n
     done = [False] * n
     order = []
     holders = [[] for _ in range(n)]  # the earlier elimination cliques holding each node
     maximal = []
-    while heap:
+    if 2 * edges < n * (n - 1):  # not complete: the loop below runs and needs the keys
+        adj = [set(ns) for ns in adjacency]
+        fill = [_fill_count(adj, v) if len(adj[v]) > 1 else 0 for v in range(n)]
+        heap = [(fill[v], len(adj[v]), v) for v in range(n)]
+        heapq.heapify(heap)
+    while 2 * edges < left * (left - 1):
         f, d, v = heapq.heappop(heap)
         if done[v] or f != fill[v] or d != len(adj[v]):
             continue  # superseded key
         ns = adj[v]
-        clique = frozenset(ns | {v})
-        if math.prod(cards[u] for u in clique) > table_cap:
-            members = tuple(node_ids[u] for u in sorted(clique))
-            raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)")
+        clique = ns | {v}
+        _check_cap(node_ids, clique, cards, table_cap)
         # a later clique lacks v, so only an earlier one holding v can contain this one
         if not any(clique <= c for c in holders[v]):
             maximal.append(tuple(sorted(clique)))
         for u in ns:
             holders[u].append(clique)
+            adj[u].discard(v)
         done[v] = True
         order.append(node_ids[v])
+        left -= 1
+        edges += f - len(ns)  # f fill edges join the neighbours
 
-        fills = []
-        for a in ns:
-            adj[a].discard(v)
-            fills.extend((a, b) for b in ns - adj[a] if a < b)
-        for a, b in fills:
-            adj[a].add(b)
-            adj[b].add(a)
-        touched = set(ns)
-        for a, b in fills:
-            for w in adj[a] & adj[b]:
-                if w not in ns:
-                    fill[w] -= 1
-                    touched.add(w)
-        for u in ns:
-            fill[u] = _fill_count(adj, u)
+        if f:
+            fills = [(a, b) for a in ns for b in ns - adj[a] if a < b]
+            for a, b in fills:
+                adj[a].add(b)
+                adj[b].add(a)
+            touched = set(ns)
+            for a, b in fills:
+                for w in adj[a] & adj[b]:
+                    if w not in ns:
+                        fill[w] -= 1
+                        touched.add(w)
+            for u in ns:
+                fill[u] = _fill_count(adj, u)
+        else:  # v was simplicial: u lost v and the len(ns) - 1 edges from v into u's other neighbours
+            for u in ns:
+                fill[u] += len(ns) - 1 - len(adj[u])
+            touched = ns
         for u in touched:
             heapq.heappush(heap, (fill[u], len(adj[u]), u))
 
+    rest = [u for u in range(n) if not done[u]]
+    if rest:
+        clique = set(rest)
+        _check_cap(node_ids, clique, cards, table_cap)
+        if not any(clique <= c for c in holders[rest[0]]):
+            maximal.append(tuple(rest))
+        order.extend(node_ids[u] for u in rest)
     maximal.sort()
     cliques = tuple(tuple(node_ids[u] for u in c) for c in maximal)
-    return Triangulation(elimination_order=tuple(order), cliques=cliques)
+    return Triangulation(elimination_order=tuple(order), cliques=cliques, positions=tuple(maximal))
+
+
+def _check_cap(node_ids: Sequence[NodeId], clique: set, cards: Sequence[int], table_cap: float) -> None:
+    """Raise CapacityError if the clique's joint state count exceeds the cap."""
+    if math.prod(cards[u] for u in clique) > table_cap:
+        members = tuple(node_ids[u] for u in sorted(clique))
+        raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)")
 
 
 def d_separated(dag: Dag, a: Iterable, b: Iterable, z: Iterable = ()) -> bool:

@@ -1,15 +1,19 @@
 """Junction-tree inference for evidence sums over small variable groups.
 
-The pipeline is the classical one, with the first three steps done in a
-single elimination pass: the moral graph of the scope is read off the parent
-lists, greedy min-fill eliminates its nodes, and each elimination clique is
-recorded as it forms, so the maximal cliques come out of the same pass and a
-clique whose table would exceed the cap stops the build at once.  The
-cliques are then joined by a maximum-sepset-weight spanning tree, every
-requested CPT is multiplied into the smallest clique containing its family,
-table entries that contradict the observed evidence are zeroed, and one
-collect pass of sum-product messages runs to a root whose belief then sums
-to the target probability.
+Each scope is solved in one pass over integer positions.  Every scope node's
+family is read off its parent list once, as positions in the scope, and
+serves twice: the families give the moral graph, and later each CPT's place.
+Greedy min-fill eliminates the moral graph's nodes and records each
+elimination clique as it forms, so the maximal cliques come out of the same
+pass and a clique whose table would exceed the cap stops the build at once;
+once the graph left is complete it is taken whole, so a complete moral graph
+(one clique: about half the subsets of a sparse query) needs no elimination
+step at all.  The cliques are then joined by a maximum-sepset-weight spanning
+tree, every requested CPT is reshaped straight into the axis order of the
+smallest clique containing its family and multiplied in, table entries that
+contradict the observed evidence are zeroed (one zero table and one copy per
+clique that holds evidence), and one collect pass of sum-product messages
+runs to a root whose belief then sums to the target probability.
 
 Boundary evidence nodes whose CPTs must act as the constant one (their
 parents live outside the subgraph) are handled by simply not multiplying
@@ -24,14 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .errors import ArgumentError, InternalConsistencyError
-from .graphs import moral_adjacency, triangulate
+from .graphs import moral_graph, triangulate
 from .network import CategoricalBN
 
 DEFAULT_TABLE_CAP = 2**20
@@ -52,13 +56,6 @@ class CliqueTree:
     tree_edges: tuple
     potentials: tuple
     cards: Mapping
-
-
-def _smallest_clique(clique_sets: list, family: tuple) -> int:
-    """Index of the smallest clique covering the family, -1 if none does; ties
-    fall to the first, which is the canonically smallest content."""
-    covering = (i for i, c in enumerate(clique_sets) if c.issuperset(family))
-    return min(covering, key=lambda i: len(clique_sets[i]), default=-1)
 
 
 def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
@@ -119,86 +116,100 @@ def build_junction_tree(
     moral graph (:func:`bnmarg.graphs.triangulate`), which raises
     CapacityError as soon as an elimination clique's joint state count
     exceeds ``table_cap``: before the rest of the graph is eliminated and
-    before any table is allocated.
+    before any table is allocated.  Each scope node's family is read off its
+    parent list once, as positions in the scope, and serves both the moral
+    graph and the placement of its CPT.
     """
     dag = bn.dag
     if nodes is None:
-        node_set = set(dag.node_ids)
+        scope = dag.node_ids
     else:
-        node_set = set(nodes)
-        dag.check_nodes(node_set)
-    scope = dag.sort(node_set)
+        scope = dag.sort(set(nodes))
     if not scope:
         raise ArgumentError("empty node set")
-    factors = set(scope) if factor_nodes is None else set(factor_nodes)
-    if not factors <= node_set:
+    pos = {v: i for i, v in enumerate(scope)}
+    factors = pos.keys() if factor_nodes is None else set(factor_nodes)
+    if not factors <= pos.keys():
         raise ArgumentError("factor_nodes must be a subset of nodes")
 
-    for v in factors:
-        if not set(dag.parents(v)) <= node_set:
-            raise ArgumentError(
-                f"family of factor node {v!r} reaches outside the subgraph"
-            )
+    parents = dag._parents
+    families = []  # positions of each node's parents in the scope, ascending, then its own
+    for i, v in enumerate(scope):
+        ps = parents[v]
+        family = [pos[p] for p in ps if p in pos]
+        if len(family) < len(ps) and v in factors:
+            raise ArgumentError(f"family of factor node {v!r} reaches outside the subgraph")
+        family.append(i)
+        families.append(family)
 
     cards = [bn.cardinalities[v] for v in scope]
-    cliques = triangulate(scope, moral_adjacency(dag, scope), cards, table_cap).cliques
-
+    tri = triangulate(scope, moral_graph(families), cards, table_cap)
+    cliques = tri.positions
     clique_sets = [set(c) for c in cliques]
     tree = []
     for i, j in _spanning_tree(cliques):
-        sep = tuple(v for v in cliques[i] if v in clique_sets[j])
-        tree.append((i, j, sep))
+        tree.append((i, j, tuple(scope[u] for u in cliques[i] if u in clique_sets[j])))
 
-    potentials = [np.ones([bn.cardinalities[v] for v in c], dtype=float) for c in cliques]
-    for v in scope:
+    potentials = [None] * len(cliques)
+    for i, v in enumerate(scope):
         if v not in factors:
             continue
-        family, table = bn.family_table(v)
-        k = _smallest_clique(clique_sets, family)
+        family = families[i]
+        k = -1  # the smallest clique covering the family; ties fall to the
+        # first, which is the canonically smallest content
+        for c, members in enumerate(clique_sets):
+            if (k < 0 or len(members) < len(clique_sets[k])) and members.issuperset(family):
+                k = c
         if k < 0:
             raise InternalConsistencyError(f"no clique contains family of {v!r}")
-        potentials[k] *= _expand(table, family, cliques[k], bn.cardinalities)
+        clique = cliques[k]
+        # the CPT's axes are v's parents in canonical order, then v: one
+        # reshape puts them in clique order with singleton axes for the rest,
+        # unless a parent follows v; then v's axis, last, moves to its slot
+        if len(family) < 2 or family[-2] < i:
+            table = bn.cpts[v].reshape([cards[u] if u in family else 1 for u in clique])
+        else:
+            shape = [cards[u] if u in family else 1 for u in clique if u != i]
+            table = np.moveaxis(bn.cpts[v].reshape(shape + [cards[i]]), -1, clique.index(i))
+        if potentials[k] is None:  # one times a table is that table: copy it in
+            potentials[k] = np.empty([cards[u] for u in clique])
+            potentials[k][...] = table
+        else:
+            potentials[k] *= table
+    for k, c in enumerate(cliques):
+        if potentials[k] is None:
+            potentials[k] = np.ones([cards[u] for u in c])
     return CliqueTree(
         nodes=scope,
-        cliques=tuple(cliques),
+        cliques=tri.cliques,
         tree_edges=tuple(tree),
         potentials=tuple(potentials),
-        cards={v: bn.cardinalities[v] for v in scope},
+        cards=dict(zip(scope, cards)),
     )
-
-
-def _expand(table: np.ndarray, vars_: tuple, clique: tuple, cards: Mapping) -> np.ndarray:
-    """Reshape a table over a subset of a clique's variables for broadcasting.
-
-    Both variable tuples are in canonical order, so inserting singleton axes
-    suffices; no transposition is needed.
-    """
-    present = set(vars_)
-    shape = [cards[v] if v in present else 1 for v in clique]
-    return table.reshape(shape)
 
 
 def incorporate_evidence(jt: CliqueTree, values: Mapping) -> CliqueTree:
     """Zero every potential entry inconsistent with the observed values.
 
-    Returns a new tree; the input is not modified.
+    Returns a new tree; the input is not modified.  A clique holding
+    evidence gets a fresh zero table with the consistent entries copied in;
+    the others share their tables with the input.
     """
-    if not set(values) <= set(jt.nodes):
+    cards = jt.cards
+    if not cards.keys() >= values.keys():
         raise ArgumentError("evidence names nodes outside the clique tree scope")
+    for v, s in values.items():
+        if not 0 <= s < cards[v]:
+            raise ArgumentError(f"state {s} out of range for {v!r}")
     pots = []
     for c, pot in zip(jt.cliques, jt.potentials):
-        pot = pot.copy()
-        for axis, v in enumerate(c):
-            if v not in values:
-                continue
-            s = values[v]
-            if not 0 <= s < jt.cards[v]:
-                raise ArgumentError(f"state {s} out of range for {v!r}")
-            sel = [slice(None)] * pot.ndim
-            sel[axis] = np.arange(jt.cards[v]) != s
-            pot[tuple(sel)] = 0.0
+        if not values.keys().isdisjoint(c):
+            at = tuple(values[v] if v in values else slice(None) for v in c)
+            out = np.zeros(pot.shape)
+            out[at] = pot[at]
+            pot = out
         pots.append(pot)
-    return replace(jt, potentials=tuple(pots))
+    return CliqueTree(jt.nodes, jt.cliques, jt.tree_edges, tuple(pots), cards)
 
 
 def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
@@ -212,46 +223,41 @@ def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
     n = len(jt.cliques)
     if not 0 <= root < n:
         raise ArgumentError(f"root index {root} out of range")
-    adj = {i: [] for i in range(n)}
-    seps = {}
+    adj = [[] for _ in range(n)]  # (neighbour, sepset), in tree-edge order
     for i, j, sep in jt.tree_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-        seps[(i, j)] = sep
-        seps[(j, i)] = sep
+        adj[i].append((j, sep))
+        adj[j].append((i, sep))
 
-    # iterative post-order from the root
-    order = []
-    parent = {root: -1}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in adj[v]:
-            if u not in parent:
+    # breadth-first from the root; reversed, every clique comes after its children
+    order = [root]
+    parent = [None] * n
+    parent[root] = -1
+    up = [()] * n  # sepset towards the parent
+    for v in order:  # order grows while it is read
+        for u, sep in adj[v]:
+            if parent[u] is None:
                 parent[u] = v
-                stack.append(u)
+                up[u] = sep
+                order.append(u)
     if len(order) != n:
         raise InternalConsistencyError("clique tree is not connected")
 
-    beliefs: dict[int, tuple[np.ndarray, float]] = {}
-    messages: dict[int, tuple[np.ndarray, float]] = {}
+    cards = jt.cards
+    messages = [None] * n
     for i in reversed(order):
-        pot = jt.potentials[i]
+        clique = jt.cliques[i]
+        val = jt.potentials[i]
         scale = 0.0
-        val = pot
-        for u in adj[i]:
+        for u, sep in adj[i]:
             if u == parent[i]:
                 continue
             msg, s = messages[u]
-            val = val * _expand(msg, seps[(u, i)], jt.cliques[i], jt.cards)
+            val = val * msg.reshape([cards[v] if v in sep else 1 for v in clique])
             scale += s
-        beliefs[i] = (val, scale)
         if parent[i] >= 0:
-            sep = set(seps[(i, parent[i])])
-            axes = tuple(k for k, v in enumerate(jt.cliques[i]) if v not in sep)
-            msg = val.sum(axis=axes) if axes else val.copy()
-            m = float(msg.max()) if msg.size else 0.0
+            sep = up[i]
+            msg = val.sum(axis=tuple(k for k, v in enumerate(clique) if v not in sep))
+            m = float(msg.max())
             if m > 0.0:
                 msg = msg / m
                 scale += math.log(m)
@@ -259,7 +265,7 @@ def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
                 scale = 0.0  # all-zero message: contradiction propagates as zero
             messages[i] = (msg, scale)
 
-    val, scale = beliefs[root]
+    # the root comes last, so val and scale are its belief
     total = float(val.sum())
     if total <= 0.0:
         return -math.inf

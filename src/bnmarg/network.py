@@ -7,11 +7,12 @@ node order and the last parent least significant, i.e. row index
 
     row = x[p1]*C[p2]*...*C[pk] + x[p2]*C[p3]*...*C[pk] + ... + x[pk]
 
-for parents p1 < p2 < ... < pk in canonical order.  Two methods read this
-layout: ``CategoricalBN.row_index`` looks rows up for one assignment or a
-vector of them, and ``CategoricalBN.family_table`` views a CPT with one axis
-per family member.  The one other reader is ``sampling.clamp_factors``, whose
-loop over every factor node makes the same view inline.
+for parents p1 < p2 < ... < pk in canonical order.  ``CategoricalBN.row_index``
+looks rows up for one assignment or a vector of them.  Two other readers view
+a CPT with one axis per family member, moving the node's own axis to its
+canonical slot when a parent follows it: ``junction.build_junction_tree``,
+which reshapes each CPT straight into its clique's axis order, and
+``sampling.clamp_factors``, in its loop over every factor node.
 
 All probability accumulation happens in log space; sums of probabilities go
 through a stable log-sum-exp reduction.
@@ -136,20 +137,6 @@ class CategoricalBN:
         for p, s in zip(self.dag.parents(v), self.parent_strides(v)):
             row = row + s * assignment[p]
         return row
-
-    def family_table(self, v) -> tuple[tuple, np.ndarray]:
-        """v's family in canonical order, and a view of v's CPT with one axis
-        per family member in that order."""
-        ps = self.dag.parents(v)
-        cards = self.cardinalities
-        table = self.cpts[v].reshape([cards[p] for p in ps] + [cards[v]])
-        # parents are canonically sorted; v's axis moves to its canonical slot
-        at = len(ps)
-        while at and self.dag.index(ps[at - 1]) > self.dag.index(v):
-            at -= 1
-        if at == len(ps):
-            return ps + (v,), table
-        return ps[:at] + (v,) + ps[at:], np.moveaxis(table, -1, at)
 
     def restrict(self, nodes: Iterable) -> "CategoricalBN":
         """Induced sub-network; every retained node must keep all its parents.

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from bnmarg.graphs import Dag
+from bnmarg.junction import CliqueTree
 from bnmarg.network import CategoricalBN
 
 
@@ -241,8 +242,9 @@ def random_edges(rng, names, p):
 def oracle_graphs(rng):
     """Undirected graphs for the elimination oracle, as (node ids, neighbour
     positions): fixed shapes whose keys all tie, random graphs of every
-    density, disconnected unions, and moral graphs of networks whose parents
-    may follow their children."""
+    density, disconnected unions, moral graphs of networks whose parents
+    may follow their children, and complete graphs with and without a path
+    hung off them."""
     for n in (0, 1, 2, 5, 9):
         names = tuple(f"v{i}" for i in range(n))
         yield names, adjacency(names, [])  # empty
@@ -267,6 +269,14 @@ def oracle_graphs(rng):
     for _ in range(100):
         dag = reordered(rng, rand_bn(rng, int(rng.integers(2, 14)), rng.random())).dag
         yield dag.node_ids, adjacency(dag.node_ids, moral_edges(dag))
+    for _ in range(40):  # complete graphs, alone and with a path hung off them
+        names = tuple(f"c{i}" for i in rng.permutation(int(rng.integers(1, 10))))
+        yield names, adjacency(names, random_edges(rng, names, 1.0))
+        tail = [f"t{i}" for i in range(int(rng.integers(1, 4)))]
+        path = list(zip([names[-1]] + tail, tail))
+        ids = list(names + tuple(tail))
+        rng.shuffle(ids)
+        yield tuple(ids), adjacency(ids, random_edges(rng, names, 1.0) + path)
 
 
 def reference_spanning_tree(cliques):
@@ -295,6 +305,108 @@ def reference_spanning_tree(cliques):
             if len(edges) == n - 1:
                 break
     return edges
+
+
+def family_table(bn, v):
+    """v's family in canonical order, and v's CPT as an array whose axes
+    follow that order."""
+    ps = bn.dag.parents(v)
+    family = bn.dag.sort(ps + (v,))
+    t = np.asarray(bn.cpts[v]).reshape([bn.cardinalities[p] for p in ps] + [bn.cardinalities[v]])
+    current = tuple(ps) + (v,)
+    return family, np.transpose(t, [current.index(u) for u in family])
+
+
+def _expand(table, vars_, clique, cards):
+    """Reshape a table over a canonical subsequence of a clique's variables
+    so that it broadcasts against the clique's table."""
+    present = set(vars_)
+    return table.reshape([cards[v] if v in present else 1 for v in clique])
+
+
+def reference_build_junction_tree(bn, nodes, factor_nodes):
+    """The exact solver's clique tree, without a table cap, by the plain
+    route: the moral graph from its edge set, cliques from
+    ``reference_min_fill``, the tree from ``reference_spanning_tree``, and
+    each requested CPT multiplied into a table of ones of the smallest clique
+    covering its family (ties to the first), in node order."""
+    dag = bn.dag
+    scope = dag.sort(set(nodes))
+    factors = set(factor_nodes)
+    _, cliques = reference_min_fill(scope, adjacency(scope, moral_edges(dag.subgraph(scope))))
+    sets = [set(c) for c in cliques]
+    tree = tuple((i, j, tuple(v for v in cliques[i] if v in sets[j])) for i, j in reference_spanning_tree(cliques))
+    potentials = [np.ones([bn.cardinalities[v] for v in c]) for c in cliques]
+    for v in scope:
+        if v in factors:
+            family, table = family_table(bn, v)
+            k = min((i for i, c in enumerate(sets) if c.issuperset(family)), key=lambda i: len(sets[i]))
+            potentials[k] *= _expand(table, family, cliques[k], bn.cardinalities)
+    cards = {v: bn.cardinalities[v] for v in scope}
+    return CliqueTree(scope, tuple(cliques), tree, tuple(potentials), cards)
+
+
+def reference_incorporate_evidence(jt, values):
+    """Copies of the potentials with each evidence axis masked in turn."""
+    pots = []
+    for c, pot in zip(jt.cliques, jt.potentials):
+        pot = pot.copy()
+        for axis, v in enumerate(c):
+            if v in values:
+                sel = [slice(None)] * pot.ndim
+                sel[axis] = np.arange(jt.cards[v]) != values[v]
+                pot[tuple(sel)] = 0.0
+        pots.append(pot)
+    return CliqueTree(jt.nodes, jt.cliques, jt.tree_edges, tuple(pots), jt.cards)
+
+
+def reference_log_tree_sum(jt, root=0):
+    """Collect pass to ``root`` over dict-keyed adjacency and messages, with
+    an explicit-stack traversal: each message is summed over the variables
+    outside its sepset, divided by its maximum, and the logs of the maxima
+    carried as a scale."""
+    n = len(jt.cliques)
+    adj = {i: [] for i in range(n)}
+    seps = {}
+    for i, j, sep in jt.tree_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+        seps[(i, j)] = seps[(j, i)] = sep
+    order = []
+    parent = {root: -1}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                stack.append(u)
+    beliefs = {}
+    messages = {}
+    for i in reversed(order):
+        val = jt.potentials[i]
+        scale = 0.0
+        for u in adj[i]:
+            if u != parent[i]:
+                msg, s = messages[u]
+                val = val * _expand(msg, seps[(u, i)], jt.cliques[i], jt.cards)
+                scale += s
+        beliefs[i] = (val, scale)
+        if parent[i] >= 0:
+            sep = set(seps[(i, parent[i])])
+            axes = tuple(k for k, v in enumerate(jt.cliques[i]) if v not in sep)
+            msg = val.sum(axis=axes) if axes else val.copy()
+            m = float(msg.max())
+            if m > 0.0:
+                msg = msg / m
+                scale += math.log(m)
+            else:
+                scale = 0.0
+            messages[i] = (msg, scale)
+    val, scale = beliefs[root]
+    total = float(val.sum())
+    return -math.inf if total <= 0.0 else math.log(total) + scale
 
 
 def dag_structure(dag):

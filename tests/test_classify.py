@@ -103,6 +103,21 @@ def test_drop_missing_requires_full_coverage():
     assert score.log_likelihood == pytest.approx(math.log(0.7 * 0.3))
 
 
+def test_non_string_node_ids_resolve():
+    # the record's keys are looked up as given, not as their str()
+    dag = Dag((1, 2), [(1, 2)])
+    cpts = {1: np.array([[0.6, 0.4]]), 2: np.array([[0.9, 0.1], [0.2, 0.8]])}
+    bn = CategoricalBN(dag, {1: 2, 2: 2}, cpts)
+    (score,) = classify(PartialRecord({2: "s0"}, frozenset({1})), [("m", bn)]).scores
+    assert score.used == (2,) and score.unresolved == ()
+    assert score.log_likelihood == pytest.approx(math.log(0.6 * 0.9 + 0.4 * 0.2))
+    (score,) = classify_drop_missing(PartialRecord({2: "s1", 1: "s0"}), [("m", bn)]).scores
+    assert score.used == (1, 2)
+    assert score.log_likelihood == pytest.approx(math.log(0.6 * 0.1))
+    with pytest.raises(ClassificationError):  # ids of mixed types in the overlap message
+        PartialRecord({1: "s0", "a": "s1"}, frozenset({1, "a"}))
+
+
 def test_classify_agrees_with_full_data_scores():
     # on a complete record the marginal reduces to the joint, so both
     # classifiers must produce identical posteriors

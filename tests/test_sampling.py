@@ -23,6 +23,7 @@ from bnmarg.sampling import (
 
 from conftest import (
     brute_marginal,
+    family_table,
     rand_bn,
     rand_evidence,
     reference_log_prob,
@@ -56,19 +57,8 @@ def _polytree_bn(rng, n):
     return CategoricalBN(dag, cards, cpts)
 
 
-def _family_table(bn, v, family):
-    """CPT of v as an array whose axes follow the canonical family order."""
-    ps = bn.dag.parents(v)
-    shape = [bn.cardinalities[p] for p in ps] + [bn.cardinalities[v]]
-    t = np.asarray(bn.cpts[v]).reshape(shape)
-    current = tuple(ps) + (v,)
-    perm = [current.index(u) for u in family]
-    return np.transpose(t, perm)
-
-
 def _reference_reduced_factor(bn, v, evidence):
-    family = bn.dag.sort(set(bn.dag.parents(v)) | {v})
-    table = _family_table(bn, v, family)
+    family, table = family_table(bn, v)
     sel = []
     free_vars = []
     for u in family:
