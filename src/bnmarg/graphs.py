@@ -261,8 +261,9 @@ def triangulate(
     order is canonical.  Each step eliminates the node with the fewest fill
     edges, breaking ties by smaller remaining degree and then by canonical
     position.  Only the keys that can change are recomputed: the eliminated
-    node's neighbours get a fresh fill count, and any other node loses one
-    for each new fill edge between two of its neighbours.
+    node's neighbours get a fresh fill count (a step without fill edges
+    updates it in O(1)), and any other node loses one for each new fill edge
+    between two of its neighbours.
 
     The elimination clique of each step (the node and its remaining
     neighbours) is recorded as it forms, and one whose joint state count
@@ -304,7 +305,7 @@ def triangulate(
         done[v] = True
         order.append(node_ids[v])
         left -= 1
-        edges += f - len(ns)  # f fill edges join the neighbours
+        edges += f - len(ns)  # v's edges go, its f fill edges come
 
         if f:
             fills = [(a, b) for a in ns for b in ns - adj[a] if a < b]
@@ -319,7 +320,8 @@ def triangulate(
                         touched.add(w)
             for u in ns:
                 fill[u] = _fill_count(adj, u)
-        else:  # v was simplicial: u lost v and the len(ns) - 1 edges from v into u's other neighbours
+        else:  # v was simplicial: of the pairs u loses with v, only the
+            # len(ns) - 1 towards v's other neighbours were edges
             for u in ns:
                 fill[u] += len(ns) - 1 - len(adj[u])
             touched = ns
