@@ -1,6 +1,18 @@
 """Junction-tree inference for evidence sums over small variable groups.
 
-Each scope is solved in one pass over integer positions.  Every scope node's
+The solver has two parts.  A plan depends only on a scope's structure: the
+positions, in the scope, of each node's family, which nodes' CPTs enter,
+the cardinalities and the table cap.  It holds the cliques, the tree that
+joins them, each CPT's clique and the reshape (and axis
+permutation) that lines the CPT up with that clique's axes, and the collect
+schedule with each message's shape and summed axes.  The numeric pass fills
+the tables from the CPTs, zeroes the entries that contradict the evidence
+and runs the collect.  The same structure recurs across the subsets of one
+query and across queries, so plans are kept in a bounded least-recently-used
+cache; a miss builds the plan, stores it when the scope is small enough, and
+runs the same numeric pass.
+
+A plan is built in one pass over integer positions.  Every scope node's
 family is read off its parent list once, as positions in the scope, and
 serves twice: the families give the moral graph, and later each CPT's place.
 Greedy min-fill eliminates the moral graph's nodes and records each
@@ -9,11 +21,12 @@ pass and a clique whose table would exceed the cap stops the build at once;
 once the graph left is complete it is taken whole, so a complete moral graph
 (one clique: about half the subsets of a sparse query) needs no elimination
 step at all.  The cliques are then joined by a maximum-sepset-weight spanning
-tree, every requested CPT is reshaped straight into the axis order of the
-smallest clique containing its family and multiplied in, table entries that
-contradict the observed evidence are zeroed (one zero table and one copy per
-clique that holds evidence), and one collect pass of sum-product messages
-runs to a root whose belief then sums to the target probability.
+tree, and every requested CPT goes to the smallest clique containing its
+family.  In the numeric pass each CPT is reshaped straight into that clique's
+axis order and multiplied in, table entries that contradict the observed
+evidence are zeroed (one zero table and one copy per clique that holds
+evidence), and one collect pass of sum-product messages runs to a root whose
+belief then sums to the target probability.
 
 Boundary evidence nodes whose CPTs must act as the constant one (their
 parents live outside the subgraph) are handled by simply not multiplying
@@ -27,10 +40,11 @@ double-precision floor.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+import pickle
+import threading
+from collections import Counter, OrderedDict, namedtuple
 from itertools import chain, combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,23 +53,56 @@ from .graphs import moral_graph, triangulate
 from .network import CategoricalBN
 
 DEFAULT_TABLE_CAP = 2**20
+# at most this many plans are kept, each for a scope of at most this many
+# nodes; a larger scope is planned for each call and not kept
+PLAN_CACHE_SIZE = 2048
+PLAN_NODE_LIMIT = 64
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-@dataclass(frozen=True)
-class CliqueTree:
+class _Plan(NamedTuple):
+    """What solving a scope needs that depends only on its structure, by position.
+
+    ``cliques`` are position tuples in canonical order; ``edges`` are the tree
+    edges as (i, j) clique pairs; ``placements`` hold, per requested CPT in
+    scope order, (node position, clique, the shape that lines the CPT's axes
+    up with the clique's, and the axis permutation to apply after that
+    reshape, or None); ``collect`` is :func:`_collect_schedule` towards
+    clique 0.
+    """
+
+    cliques: tuple
+    edges: tuple
+    placements: tuple
+    collect: tuple
+
+
+class CliqueTree(NamedTuple):
     """A clique tree ready for message passing.
 
-    ``cliques`` hold node tuples in canonical order; ``tree_edges`` are
-    (i, j, sepset) triples forming a spanning tree over clique indices (the
-    sepset may be empty when the moral graph is disconnected); ``potentials``
-    are linear-space arrays whose axes follow the clique's node order.
+    ``nodes`` is the scope in canonical order and ``cards`` maps each of its
+    nodes to its cardinality; ``potentials`` are linear-space arrays, one per
+    clique, whose axes follow the clique's node order.  ``plan`` is the
+    structure the tree was built from, by position in ``nodes``.
     """
 
     nodes: tuple
-    cliques: tuple
-    tree_edges: tuple
     potentials: tuple
     cards: Mapping
+    plan: _Plan
+
+    @property
+    def cliques(self) -> tuple:
+        """The cliques as node tuples in canonical order."""
+        return tuple(tuple(map(self.nodes.__getitem__, c)) for c in self.plan.cliques)
+
+    @property
+    def tree_edges(self) -> tuple:
+        """(i, j, sepset) triples forming a spanning tree over clique indices;
+        the sepset may be empty when the moral graph is disconnected."""
+        cliques, nodes = self.plan.cliques, self.nodes
+        return tuple((i, j, tuple(nodes[u] for u in cliques[i] if u in cliques[j])) for i, j in self.plan.edges)
 
 
 def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
@@ -99,6 +146,146 @@ def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
     return edges
 
 
+def _collect_schedule(cliques: tuple, edges: tuple, cards, root: int) -> tuple:
+    """The collect pass towards ``root``, as (clique, children, summed axes,
+    message shape) steps in which every clique comes after its children.
+
+    ``children`` lists the child cliques in tree-edge order.  A clique's
+    message sums its belief over the axes outside the sepset towards its
+    parent and is reshaped to line up with the parent's axes; the root,
+    which comes last, has neither.
+    """
+    n = len(cliques)
+    adj = [[] for _ in range(n)]  # (neighbour, sepset), in tree-edge order
+    for i, j in edges:
+        sep = set(cliques[i]).intersection(cliques[j])
+        adj[i].append((j, sep))
+        adj[j].append((i, sep))
+
+    # breadth-first from the root; reversed, every clique comes after its children
+    order = [root]
+    parent = [None] * n
+    parent[root] = -1
+    up = [()] * n  # sepset towards the parent
+    for v in order:  # order grows while it is read
+        for u, sep in adj[v]:
+            if parent[u] is None:
+                parent[u] = v
+                up[u] = sep
+                order.append(u)
+    if len(order) != n:
+        raise InternalConsistencyError("clique tree is not connected")
+
+    steps = []
+    for i in reversed(order):
+        children = tuple([u for u, _ in adj[i] if u != parent[i]])
+        if parent[i] < 0:
+            steps.append((i, children, None, None))
+            continue
+        sep = up[i]
+        axes = tuple([k for k, v in enumerate(cliques[i]) if v not in sep])
+        shape = tuple([cards[v] if v in sep else 1 for v in cliques[parent[i]]])
+        steps.append((i, children, axes, shape))
+    return tuple(steps)
+
+
+def _build_plan(scope: tuple, families: list, is_factor: list, cards: list, table_cap: int) -> _Plan:
+    """Triangulate the scope's moral graph, join the cliques into a tree and
+    place every requested CPT; see :class:`_Plan`."""
+    cliques = triangulate(scope, moral_graph(families), cards, table_cap).positions
+    clique_sets = [set(c) for c in cliques]
+    edges = tuple(_spanning_tree(cliques))
+    placements = []
+    for i, family in enumerate(families):
+        if not is_factor[i]:
+            continue
+        k = -1  # the smallest clique covering the family; ties fall to the
+        # first, which is the canonically smallest content
+        for c, members in enumerate(clique_sets):
+            if (k < 0 or len(members) < len(clique_sets[k])) and members.issuperset(family):
+                k = c
+        if k < 0:
+            raise InternalConsistencyError(f"no clique contains family of {scope[i]!r}")
+        clique = cliques[k]
+        # the CPT's axes are the node's parents in canonical order, then the
+        # node: one reshape puts them in clique order with singleton axes for
+        # the rest, unless a parent follows the node; then its axis, last,
+        # moves to its slot
+        if len(family) < 2 or family[-2] < i:
+            shape = tuple([cards[u] if u in family else 1 for u in clique])
+            perm = None
+        else:
+            shape = tuple([cards[u] if u in family else 1 for u in clique if u != i] + [cards[i]])
+            perm = list(range(len(clique) - 1))
+            perm.insert(clique.index(i), len(clique) - 1)
+            perm = tuple(perm)
+        placements.append((i, k, shape, perm))
+    return _Plan(
+        cliques=cliques,
+        edges=edges,
+        placements=tuple(placements),
+        collect=_collect_schedule(cliques, edges, cards, 0),
+    )
+
+
+_plans = OrderedDict()  # structure key -> pickled plan, least recently used first
+_plan_counts = [0, 0]  # hits and misses since the cache was last emptied
+_plan_lock = threading.Lock()
+
+
+def _plan(scope: tuple, families: list, is_factor: list, cards: list, table_cap: int) -> _Plan:
+    """The scope's plan: the cached one for its structure, or a new one,
+    which is cached when the scope has at most ``PLAN_NODE_LIMIT`` nodes.
+
+    The key is the table cap and one byte string: the scope's length, each
+    node's factor flag and cardinality, then the families' positions (each
+    family ends with its own node's position, which marks where it ends).
+    A plan is kept pickled: its bytes take about an eighth of the memory of
+    the tuples they load back into.
+    """
+    key = None
+    if len(scope) <= PLAN_NODE_LIMIT:
+        try:
+            key = (table_cap, bytes(chain((len(scope),), is_factor, cards, chain.from_iterable(families))))
+        except ValueError:  # a cardinality above 255 does not fit the byte string
+            pass
+    with _plan_lock:
+        blob = None if key is None else _plans.get(key)
+        if blob is None:
+            _plan_counts[1] += 1
+        else:
+            _plans.move_to_end(key)
+            _plan_counts[0] += 1
+    if blob is not None:
+        return _Plan._make(pickle.loads(blob))
+    plan = _build_plan(scope, families, is_factor, cards, table_cap)
+    if key is not None:
+        blob = pickle.dumps(tuple(plan), pickle.HIGHEST_PROTOCOL)
+        with _plan_lock:
+            _plans[key] = blob
+            if len(_plans) > PLAN_CACHE_SIZE:
+                _plans.popitem(last=False)
+    return plan
+
+
+def _plan_cache_info() -> CacheInfo:
+    """The plan cache's hits, misses, bound and size."""
+    with _plan_lock:
+        return CacheInfo(*_plan_counts, PLAN_CACHE_SIZE, len(_plans))
+
+
+def _plan_cache_clear() -> None:
+    """Empty the plan cache and reset its counts."""
+    with _plan_lock:
+        _plans.clear()
+        _plan_counts[:] = [0, 0]
+
+
+# the interface of a functools cache, so that code emptying the package's caches empties this one
+_plan.cache_info = _plan_cache_info
+_plan.cache_clear = _plan_cache_clear
+
+
 def build_junction_tree(
     bn: CategoricalBN,
     nodes: Optional[Iterable] = None,
@@ -117,8 +304,8 @@ def build_junction_tree(
     CapacityError as soon as an elimination clique's joint state count
     exceeds ``table_cap``: before the rest of the graph is eliminated and
     before any table is allocated.  Each scope node's family is read off its
-    parent list once, as positions in the scope, and serves both the moral
-    graph and the placement of its CPT.
+    parent list once, as positions in the scope; the families key the plan
+    cache and, on a miss, give the moral graph and each CPT's placement.
     """
     dag = bn.dag
     if nodes is None:
@@ -134,58 +321,34 @@ def build_junction_tree(
 
     parents = dag._parents
     families = []  # positions of each node's parents in the scope, ascending, then its own
+    is_factor = []
     for i, v in enumerate(scope):
         ps = parents[v]
         family = [pos[p] for p in ps if p in pos]
-        if len(family) < len(ps) and v in factors:
+        factor = v in factors
+        if len(family) < len(ps) and factor:
             raise ArgumentError(f"family of factor node {v!r} reaches outside the subgraph")
         family.append(i)
         families.append(family)
+        is_factor.append(factor)
 
     cards = [bn.cardinalities[v] for v in scope]
-    tri = triangulate(scope, moral_graph(families), cards, table_cap)
-    cliques = tri.positions
-    clique_sets = [set(c) for c in cliques]
-    tree = []
-    for i, j in _spanning_tree(cliques):
-        tree.append((i, j, tuple(scope[u] for u in cliques[i] if u in clique_sets[j])))
-
-    potentials = [None] * len(cliques)
-    for i, v in enumerate(scope):
-        if v not in factors:
-            continue
-        family = families[i]
-        k = -1  # the smallest clique covering the family; ties fall to the
-        # first, which is the canonically smallest content
-        for c, members in enumerate(clique_sets):
-            if (k < 0 or len(members) < len(clique_sets[k])) and members.issuperset(family):
-                k = c
-        if k < 0:
-            raise InternalConsistencyError(f"no clique contains family of {v!r}")
-        clique = cliques[k]
-        # the CPT's axes are v's parents in canonical order, then v: one
-        # reshape puts them in clique order with singleton axes for the rest,
-        # unless a parent follows v; then v's axis, last, moves to its slot
-        if len(family) < 2 or family[-2] < i:
-            table = bn.cpts[v].reshape([cards[u] if u in family else 1 for u in clique])
-        else:
-            shape = [cards[u] if u in family else 1 for u in clique if u != i]
-            table = np.moveaxis(bn.cpts[v].reshape(shape + [cards[i]]), -1, clique.index(i))
+    plan = _plan(scope, families, is_factor, cards, table_cap)
+    cpts = bn.cpts
+    potentials = [None] * len(plan.cliques)
+    for i, k, shape, perm in plan.placements:
+        table = cpts[scope[i]].reshape(shape)
+        if perm is not None:
+            table = table.transpose(perm)
         if potentials[k] is None:  # one times a table is that table: copy it in
-            potentials[k] = np.empty([cards[u] for u in clique])
+            potentials[k] = np.empty([cards[u] for u in plan.cliques[k]])
             potentials[k][...] = table
         else:
             potentials[k] *= table
-    for k, c in enumerate(cliques):
-        if potentials[k] is None:
-            potentials[k] = np.ones([cards[u] for u in c])
-    return CliqueTree(
-        nodes=scope,
-        cliques=tri.cliques,
-        tree_edges=tuple(tree),
-        potentials=tuple(potentials),
-        cards=dict(zip(scope, cards)),
-    )
+    for k, pot in enumerate(potentials):
+        if pot is None:
+            potentials[k] = np.ones([cards[u] for u in plan.cliques[k]])
+    return CliqueTree(scope, tuple(potentials), dict(zip(scope, cards)), plan)
 
 
 def incorporate_evidence(jt: CliqueTree, values: Mapping) -> CliqueTree:
@@ -201,15 +364,17 @@ def incorporate_evidence(jt: CliqueTree, values: Mapping) -> CliqueTree:
     for v, s in values.items():
         if not 0 <= s < cards[v]:
             raise ArgumentError(f"state {s} out of range for {v!r}")
-    pots = []
-    for c, pot in zip(jt.cliques, jt.potentials):
-        if not values.keys().isdisjoint(c):
-            at = tuple(values[v] if v in values else slice(None) for v in c)
-            out = np.zeros(pot.shape)
-            out[at] = pot[at]
-            pot = out
-        pots.append(pot)
-    return CliqueTree(jt.nodes, jt.cliques, jt.tree_edges, tuple(pots), cards)
+    pos = {v: i for i, v in enumerate(jt.nodes)}
+    observed = {pos[v]: s for v, s in values.items()}  # position -> state
+    every = slice(None)
+    pots = list(jt.potentials)
+    for k, clique in enumerate(jt.plan.cliques):
+        if not observed.keys().isdisjoint(clique):
+            at = tuple([observed.get(u, every) for u in clique])
+            pot = pots[k]
+            pots[k] = np.zeros(pot.shape)
+            pots[k][at] = pot[at]
+    return CliqueTree(jt.nodes, tuple(pots), cards, jt.plan)
 
 
 def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
@@ -218,55 +383,40 @@ def log_tree_sum(jt: CliqueTree, root: int = 0) -> float:
     One upward pass suffices for a total sum: each edge message sums its
     clique's belief over the variables outside the sepset, and the root
     belief's total is the requested probability mass.  Invariant under the
-    choice of root.
+    choice of root.  The schedule towards clique 0 comes with the plan;
+    another root's is derived the same way.
     """
-    n = len(jt.cliques)
+    plan = jt.plan
+    n = len(plan.cliques)
     if not 0 <= root < n:
         raise ArgumentError(f"root index {root} out of range")
-    adj = [[] for _ in range(n)]  # (neighbour, sepset), in tree-edge order
-    for i, j, sep in jt.tree_edges:
-        adj[i].append((j, sep))
-        adj[j].append((i, sep))
+    if root == 0:
+        steps = plan.collect
+    else:
+        steps = _collect_schedule(plan.cliques, plan.edges, [jt.cards[v] for v in jt.nodes], root)
 
-    # breadth-first from the root; reversed, every clique comes after its children
-    order = [root]
-    parent = [None] * n
-    parent[root] = -1
-    up = [()] * n  # sepset towards the parent
-    for v in order:  # order grows while it is read
-        for u, sep in adj[v]:
-            if parent[u] is None:
-                parent[u] = v
-                up[u] = sep
-                order.append(u)
-    if len(order) != n:
-        raise InternalConsistencyError("clique tree is not connected")
-
-    cards = jt.cards
+    potentials = jt.potentials
     messages = [None] * n
-    for i in reversed(order):
-        clique = jt.cliques[i]
-        val = jt.potentials[i]
+    for i, children, axes, shape in steps:
+        val = potentials[i]
         scale = 0.0
-        for u, sep in adj[i]:
-            if u == parent[i]:
-                continue
+        for u in children:
             msg, s = messages[u]
-            val = val * msg.reshape([cards[v] if v in sep else 1 for v in clique])
+            val = val * msg
             scale += s
-        if parent[i] >= 0:
-            sep = up[i]
-            msg = val.sum(axis=tuple(k for k, v in enumerate(clique) if v not in sep))
-            m = float(msg.max())
+        if axes is not None:
+            # the ufunc reductions ndarray.sum and ndarray.max call, without their Python wrappers
+            msg = np.add.reduce(val, axis=axes)
+            m = float(np.maximum.reduce(msg, axis=None))
             if m > 0.0:
                 msg = msg / m
                 scale += math.log(m)
             else:
                 scale = 0.0  # all-zero message: contradiction propagates as zero
-            messages[i] = (msg, scale)
+            messages[i] = (msg.reshape(shape), scale)
 
     # the root comes last, so val and scale are its belief
-    total = float(val.sum())
+    total = float(np.add.reduce(val, axis=None))
     if total <= 0.0:
         return -math.inf
     return math.log(total) + scale

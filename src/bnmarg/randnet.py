@@ -41,6 +41,9 @@ FAMILY_ALIASES = {
 
 _PILOT_COUNT = 8
 _PILOT_ENTROPY = 0x9D2C5680  # fixed so calibration is reproducible everywhere
+# calibrations remembered per (size, target) and pilot seed sets per size; the
+# pilot matrices, n x n each, are kept for one size only
+_CALIBRATIONS_KEPT = 64
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def mean_markov_blanket(dag: Dag) -> float:
     return sum(map(len, adj)) / len(adj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _pilot_uniforms(n: int):
     """Fixed upper-triangular uniform matrices shared by every calibration."""
     rng = np.random.default_rng(np.random.SeedSequence(_PILOT_ENTROPY + n))
@@ -118,7 +121,7 @@ def _pilot_uniforms(n: int):
     return tuple(mats)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _pilot_seeds(n: int):
     ss = np.random.SeedSequence(_PILOT_ENTROPY ^ n)
     return tuple(int(s) for s in ss.generate_state(_PILOT_COUNT, np.uint64))
@@ -128,7 +131,7 @@ def _er_adjacency(n: int, p: float, u: np.ndarray) -> np.ndarray:
     return np.triu(u < p, k=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_er(n: int, target: float) -> float:
     """Edge probability whose pilot mean Markov blanket size hits the target."""
 
@@ -168,7 +171,7 @@ def _ba_adjacency(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return adj
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_ba(n: int, target: float) -> int:
     def pilot_mean(m: int) -> float:
         vals = []
@@ -215,7 +218,7 @@ def _ws_adjacency(n: int, k: int, rewire: float, rng: np.random.Generator) -> np
     return adj
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_ws(n: int, target: float, rewire: float) -> int:
     def pilot_mean(k: int) -> float:
         vals = []

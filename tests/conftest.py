@@ -9,11 +9,11 @@ tests use.
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from bnmarg.graphs import Dag
-from bnmarg.junction import CliqueTree
 from bnmarg.network import CategoricalBN
 
 
@@ -324,6 +324,11 @@ def _expand(table, vars_, clique, cards):
     return table.reshape([cards[v] if v in present else 1 for v in clique])
 
 
+# the clique tree the reference solver works on: node-name cliques, tree edges
+# and potentials, as the package's CliqueTree reports them
+ReferenceTree = namedtuple("ReferenceTree", "nodes cliques tree_edges potentials cards")
+
+
 def reference_build_junction_tree(bn, nodes, factor_nodes):
     """The exact solver's clique tree, without a table cap, by the plain
     route: the moral graph from its edge set, cliques from
@@ -343,7 +348,7 @@ def reference_build_junction_tree(bn, nodes, factor_nodes):
             k = min((i for i, c in enumerate(sets) if c.issuperset(family)), key=lambda i: len(sets[i]))
             potentials[k] *= _expand(table, family, cliques[k], bn.cardinalities)
     cards = {v: bn.cardinalities[v] for v in scope}
-    return CliqueTree(scope, tuple(cliques), tree, tuple(potentials), cards)
+    return ReferenceTree(scope, tuple(cliques), tree, tuple(potentials), cards)
 
 
 def reference_incorporate_evidence(jt, values):
@@ -357,7 +362,7 @@ def reference_incorporate_evidence(jt, values):
                 sel[axis] = np.arange(jt.cards[v]) != values[v]
                 pot[tuple(sel)] = 0.0
         pots.append(pot)
-    return CliqueTree(jt.nodes, jt.cliques, jt.tree_edges, tuple(pots), jt.cards)
+    return ReferenceTree(jt.nodes, jt.cliques, jt.tree_edges, tuple(pots), jt.cards)
 
 
 def reference_log_tree_sum(jt, root=0):

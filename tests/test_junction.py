@@ -8,7 +8,15 @@ from bnmarg.decompose import decompose, find_subsets, relevant_subgraph
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
 from bnmarg.graphs import Dag, moral_adjacency, triangulate
-from bnmarg.junction import _spanning_tree, build_junction_tree, incorporate_evidence, log_tree_sum
+from bnmarg.junction import (
+    PLAN_CACHE_SIZE,
+    PLAN_NODE_LIMIT,
+    _plan,
+    _spanning_tree,
+    build_junction_tree,
+    incorporate_evidence,
+    log_tree_sum,
+)
 from bnmarg.network import CategoricalBN, log_enumerate_marginal
 
 from conftest import (
@@ -248,46 +256,98 @@ def test_exact_solver_matches_reference_bit_for_bit():
     # the tables, the clique tree and the log value from every root equal
     # the plain route's bit for bit, on the whole network, on every subset
     # scope as sgs builds it and on a random node set (often disconnected);
-    # the cap refuses exactly one below the largest clique table
+    # the cap refuses exactly one below the largest clique table.  Each call
+    # is made with the plan cache emptied (a miss that builds and stores the
+    # plan) and again (a hit on it); then the corpus runs once more on one
+    # shared cache, where plans made for other calls of equal structure
+    # answer.  A plan made under the largest table's cap never answers for
+    # one less: the refusal stays, in the same words as from an empty cache
     rng = np.random.default_rng(53)
-    seen = Counter()
+    corpus = []
     for trial in range(240):
         n = int(rng.integers(2, 13))
         bn = sparse_bn(rng, n) if trial % 2 else rand_bn(rng, n, 0.5 * rng.random(), cards=(2, 3, 4, 5))
         if trial % 3:
             bn = reordered(rng, bn)
         e = rand_evidence(rng, bn, int(rng.integers(0, n)))
-        calls = [(bn, bn.node_ids, bn.node_ids, e)]
+        corpus.append((bn, bn.node_ids, bn.node_ids, e))
         if e:
             dec = decompose(bn, e)
             rel = relevant_subgraph(bn, e)
             for sub, b in zip(dec.subsets, dec.boundaries):
-                calls.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch), {v: e[v] for v in b.e_mb}))
+                corpus.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch), {v: e[v] for v in b.e_mb}))
         keep = {v for v in bn.node_ids if rng.random() < 0.6} or {bn.node_ids[0]}
         factors = {v for v in keep if keep.issuperset(bn.dag.parents(v))}
-        calls.append((bn, keep, factors, {v: s for v, s in e.items() if v in keep}))
-        for net, scope, factors, values in calls:
-            want = reference_build_junction_tree(net, scope, factors)
-            largest = max(math.prod(want.cards[v] for v in c) for c in want.cliques)
-            with pytest.raises(CapacityError):
-                build_junction_tree(net, scope, factors, largest - 1)
-            got = build_junction_tree(net, scope, factors, largest)
-            assert (got.nodes, got.cliques, got.tree_edges, got.cards) == (
-                want.nodes, want.cliques, want.tree_edges, want.cards
-            )
-            for _ in range(2):  # as built, then with the evidence
-                assert [(p.shape, p.tobytes()) for p in got.potentials] == [
-                    (p.shape, p.tobytes()) for p in want.potentials
-                ]
-                got, want = incorporate_evidence(got, values), reference_incorporate_evidence(want, values)
-            roots = range(len(want.cliques))
-            logs = [repr(log_tree_sum(got, r)) for r in roots]
-            assert logs == [repr(reference_log_tree_sum(want, r)) for r in roots]
-            index = net.dag.index
-            seen["calls"] += 1
-            seen["one clique"] += len(want.cliques) == 1
-            seen["empty sepset"] += any(not sep for _, _, sep in want.tree_edges)
-            seen["zero probability"] += logs[0] == "-inf"
-            seen["parent after child"] += any(index(p) > index(v) for v in factors for p in net.dag.parents(v))
-            seen["cardinality 5"] += 5 in want.cards.values()
+        corpus.append((bn, keep, factors, {v: s for v, s in e.items() if v in keep}))
+
+    def solve_and_compare(net, scope, factors, values, want, cap):
+        got = build_junction_tree(net, scope, factors, cap)
+        assert (got.nodes, got.cliques, got.tree_edges, got.cards) == (
+            want.nodes, want.cliques, want.tree_edges, want.cards
+        )
+        for _ in range(2):  # as built, then with the evidence
+            assert [(p.shape, p.tobytes()) for p in got.potentials] == [
+                (p.shape, p.tobytes()) for p in want.potentials
+            ]
+            got, want = incorporate_evidence(got, values), reference_incorporate_evidence(want, values)
+        roots = range(len(want.cliques))
+        logs = [repr(log_tree_sum(got, r)) for r in roots]
+        assert logs == [repr(reference_log_tree_sum(want, r)) for r in roots]
+        return logs
+
+    def refusal(net, scope, factors, cap):
+        with pytest.raises(CapacityError) as refused:
+            build_junction_tree(net, scope, factors, cap)
+        return str(refused.value)
+
+    wants, refusals = [], []
+    seen = Counter()
+    for net, scope, factors, values in corpus:
+        want = reference_build_junction_tree(net, scope, factors)
+        largest = max(math.prod(want.cards[v] for v in c) for c in want.cliques)
+        _plan.cache_clear()
+        refusals.append(refusal(net, scope, factors, largest - 1))
+        for _ in range(2):  # a miss that stores the plan, then a hit on it
+            logs = solve_and_compare(net, scope, factors, values, want, largest)
+        assert _plan.cache_info()[:2] == (1, 2)  # the refusal stored nothing
+        assert refusal(net, scope, factors, largest - 1) == refusals[-1]
+        wants.append((want, largest))
+        index = net.dag.index
+        seen["calls"] += 1
+        seen["one clique"] += len(want.cliques) == 1
+        seen["empty sepset"] += any(not sep for _, _, sep in want.tree_edges)
+        seen["zero probability"] += logs[0] == "-inf"
+        seen["parent after child"] += any(index(p) > index(v) for v in factors for p in net.dag.parents(v))
+        seen["cardinality 5"] += 5 in want.cards.values()
     assert seen["calls"] > 500 and min(seen.values()) > 40, seen
+
+    _plan.cache_clear()
+    for (net, scope, factors, values), (want, largest), refused in zip(corpus, wants, refusals):
+        solve_and_compare(net, scope, factors, values, want, largest)
+        assert refusal(net, scope, factors, largest - 1) == refused
+    assert _plan.cache_info().hits > 40, _plan.cache_info()
+
+
+def test_plan_cache_is_bounded():
+    # more distinct keys than the cache holds (the cap is part of the key)
+    # leave it full, without the least recently used; a scope over the node
+    # limit is solved like any other and never stored
+    bn = CategoricalBN(Dag(("a",), []), {"a": 2}, {"a": np.array([[0.25, 0.75]])})
+    caps = range(2, PLAN_CACHE_SIZE + 12)
+    _plan.cache_clear()
+    for cap in caps:
+        build_junction_tree(bn, table_cap=cap)
+    assert _plan.cache_info() == (0, len(caps), PLAN_CACHE_SIZE, PLAN_CACHE_SIZE)
+    build_junction_tree(bn, table_cap=caps[-1])
+    build_junction_tree(bn, table_cap=caps[0])
+    assert _plan.cache_info()[:2] == (1, len(caps) + 1)
+
+    rng = np.random.default_rng(61)
+    big = reordered(rng, sparse_bn(rng, PLAN_NODE_LIMIT + 6, p=0.03))
+    e = rand_evidence(rng, big, 20)
+    ref = reference_build_junction_tree(big, big.node_ids, big.node_ids)
+    want = repr(reference_log_tree_sum(reference_incorporate_evidence(ref, e)))
+    _plan.cache_clear()
+    for _ in range(2):
+        assert repr(log_tree_sum(incorporate_evidence(build_junction_tree(big), e))) == want
+    assert _plan.cache_info() == (0, 2, PLAN_CACHE_SIZE, 0)

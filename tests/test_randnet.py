@@ -5,6 +5,7 @@ import pytest
 
 from bnmarg.errors import ArgumentError, DomainError, ParameterError
 from bnmarg.graphs import Dag
+from bnmarg import randnet
 from bnmarg.randnet import (
     FAMILIES,
     GenSpec,
@@ -94,6 +95,19 @@ def test_er_blanket_calibration():
         spec = GenSpec(family="er", n=100, mb_size=target, seed=seed)
         sizes.append(mean_markov_blanket(gen_dag(spec)))
     assert abs(float(np.mean(sizes)) - target) < 0.5
+
+
+def test_pilot_matrices_are_kept_for_one_size():
+    # each size's pilot ensemble is eight n x n matrices, so only the last
+    # size's are kept; a size calibrated again after its matrices were
+    # dropped gets the same fit, since they are drawn from a fixed seed
+    randnet._calibrate_er.cache_clear()
+    first = randnet._calibrate_er(30, 2.5)
+    for n in (30, 40, 50):
+        gen_dag(GenSpec(family="er", n=n, mb_size=2.5, seed=1))
+    assert randnet._pilot_uniforms.cache_info().currsize == 1
+    randnet._calibrate_er.cache_clear()
+    assert randnet._calibrate_er(30, 2.5) == first
 
 
 def test_other_families_track_target_loosely():
