@@ -212,17 +212,15 @@ class Dag:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Result of :func:`triangulate`.
+    """Result of :func:`triangulate`, as node positions.
 
-    ``elimination_order`` lists the node ids in elimination order; ``cliques``
-    are the maximal cliques of the chordal completion, each a tuple in node
-    order, sorted by their position tuples; ``positions`` holds those
-    position tuples, clique for clique.
+    ``elimination_order`` lists the positions in elimination order;
+    ``cliques`` are the maximal cliques of the chordal completion, each a
+    sorted tuple of positions, in sorted order.
     """
 
     elimination_order: tuple
     cliques: tuple
-    positions: tuple
 
 
 def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:
@@ -303,7 +301,7 @@ def triangulate(
             holders[u].append(clique)
             adj[u].discard(v)
         done[v] = True
-        order.append(node_ids[v])
+        order.append(v)
         left -= 1
         edges += f - len(ns)  # v's edges go, its f fill edges come
 
@@ -334,10 +332,9 @@ def triangulate(
         _check_cap(node_ids, clique, cards, table_cap)
         if not any(clique <= c for c in holders[rest[0]]):
             maximal.append(tuple(rest))
-        order.extend(node_ids[u] for u in rest)
+        order.extend(rest)
     maximal.sort()
-    cliques = tuple(tuple(node_ids[u] for u in c) for c in maximal)
-    return Triangulation(elimination_order=tuple(order), cliques=cliques, positions=tuple(maximal))
+    return Triangulation(elimination_order=tuple(order), cliques=tuple(maximal))
 
 
 def _check_cap(node_ids: Sequence[NodeId], clique: set, cards: Sequence[int], table_cap: float) -> None:

@@ -192,7 +192,7 @@ def _collect_schedule(cliques: tuple, edges: tuple, cards, root: int) -> tuple:
 def _build_plan(scope: tuple, families: list, is_factor: list, cards: list, table_cap: int) -> _Plan:
     """Triangulate the scope's moral graph, join the cliques into a tree and
     place every requested CPT; see :class:`_Plan`."""
-    cliques = triangulate(scope, moral_graph(families), cards, table_cap).positions
+    cliques = triangulate(scope, moral_graph(families), cards, table_cap).cliques
     clique_sets = [set(c) for c in cliques]
     edges = tuple(_spanning_tree(cliques))
     placements = []

@@ -15,8 +15,12 @@ result is acyclic by construction:
               between consecutive blocks.
 
 Calibration uses common random numbers (a fixed pilot ensemble per size), so
-the fitted parameter is deterministic and monotone searches are valid.  CPT
-rows are independent uniform draws, normalized.
+the fitted parameter is deterministic and monotone searches are valid.  Every
+blanket count sorts the pairs read off edge arrays.  The ``er`` pilots stream
+their uniforms in row chunks and keep the O(n * mb) entries below a cap,
+sorted, so the edges at any p below it are a prefix; each count is memoized
+by the pilots' edge counts.  No n x n matrix is held.  CPT rows are
+independent uniform draws, normalized.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
-from .graphs import Dag, moral_adjacency
+from .graphs import Dag
 from .network import CategoricalBN, derive_seed, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
@@ -41,9 +45,14 @@ FAMILY_ALIASES = {
 
 _PILOT_COUNT = 8
 _PILOT_ENTROPY = 0x9D2C5680  # fixed so calibration is reproducible everywhere
-# calibrations remembered per (size, target) and pilot seed sets per size; the
-# pilot matrices, n x n each, are kept for one size only
+# calibrations remembered per (size, target) and pilot seed sets per size
 _CALIBRATIONS_KEPT = 64
+# uniforms drawn at a time when an n x n uniform matrix is streamed in rows
+_CHUNK_ENTRIES = 1 << 18
+# er pilots first keep their entries below this many times the edge
+# probability max(target, 1) / (n - 1), at which the expected skeleton degree
+# is the target
+_CAP_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -92,33 +101,48 @@ class GenSpec:
             raise ParameterError("rewire probability must lie in [0, 1]")
 
 
-def adjacency_mean_mb(adj: np.ndarray) -> float:
-    """Mean Markov blanket size of a boolean parent->child adjacency matrix."""
-    a = np.asarray(adj, dtype=bool)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ArgumentError("adjacency must be a square matrix")
-    co = (a.astype(np.int64) @ a.T.astype(np.int64)) > 0
-    mb = a | a.T | co
-    np.fill_diagonal(mb, False)
-    return float(mb.sum(axis=1).mean())
+def blanket_means(parents, children, n: int, graphs: int = 1) -> np.ndarray:
+    """Mean Markov blanket size of each of ``graphs`` disjoint graphs of ``n`` nodes.
+
+    The edges are ``parents[i] -> children[i]``, as positions; graph g owns
+    positions ``g * n`` to ``g * n + n - 1``.  A blanket pair is a
+    parent-child pair or two parents of one child, so a graph's blanket sizes
+    sum to twice its distinct blanket pairs, and each mean is that count over
+    n exactly.  Sorts one key per parent-child pair and per co-parent pair,
+    O(E + the sum of squared in-degrees) keys for E edges.
+    """
+    pa = np.asarray(parents, dtype=np.int64)
+    ch = np.asarray(children, dtype=np.int64)
+    size = graphs * n
+    order = np.lexsort((pa, ch))  # by child, then parent
+    pa, ch = pa[order], ch[order]
+    # each edge's parent pairs with the parents after it in its child's run
+    later = np.searchsorted(ch, ch, side="right") - np.arange(len(ch)) - 1
+    first = np.repeat(np.arange(len(ch)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    keys = np.concatenate(
+        (np.minimum(pa, ch) * size + np.maximum(pa, ch), pa[first] * size + pa[second])
+    )
+    keys.sort()
+    distinct = keys[np.diff(keys, prepend=-1) != 0]
+    # a pair's smaller position, and so its key, lies in its own graph's band
+    pairs = np.bincount(distinct // (n * size), minlength=graphs)
+    return 2 * pairs / n
 
 
 def mean_markov_blanket(dag: Dag) -> float:
     """Mean Markov blanket size: the mean degree of the moral graph."""
-    adj = moral_adjacency(dag, dag.node_ids)
-    return sum(map(len, adj)) / len(adj)
+    parents = [dag.index(u) for u, _ in dag.edges]
+    children = [dag.index(v) for _, v in dag.edges]
+    return float(blanket_means(parents, children, len(dag.node_ids))[0])
 
 
-@lru_cache(maxsize=1)
-def _pilot_uniforms(n: int):
-    """Fixed upper-triangular uniform matrices shared by every calibration."""
-    rng = np.random.default_rng(np.random.SeedSequence(_PILOT_ENTROPY + n))
-    mats = []
-    for _ in range(_PILOT_COUNT):
-        u = rng.random((n, n))
-        u.flags.writeable = False
-        mats.append(u)
-    return tuple(mats)
+def _ensemble_mean(edge_sets, n: int) -> float:
+    """Mean over the pilots of their mean blanket sizes; ``edge_sets`` holds
+    one (parents, children) pair of position arrays per pilot."""
+    parents = np.concatenate([p + k * n for k, (p, _) in enumerate(edge_sets)])
+    children = np.concatenate([c + k * n for k, (_, c) in enumerate(edge_sets)])
+    return float(np.mean(blanket_means(parents, children, n, len(edge_sets))))
 
 
 @lru_cache(maxsize=_CALIBRATIONS_KEPT)
@@ -127,27 +151,78 @@ def _pilot_seeds(n: int):
     return tuple(int(s) for s in ss.generate_state(_PILOT_COUNT, np.uint64))
 
 
-def _er_adjacency(n: int, p: float, u: np.ndarray) -> np.ndarray:
-    return np.triu(u < p, k=1)
+def _stream_er(rng: np.random.Generator, n: int, p: float):
+    """Rows, columns and values, row-major, of the entries above the diagonal
+    of ``rng.random((n, n))`` that lie below ``p``.
+
+    The matrix is drawn in row chunks, which take the same values from the
+    stream as one draw, so only the kept entries outlive a chunk.
+    """
+    step = max(1, _CHUNK_ENTRIES // n)
+    rows, cols, vals = [], [], []
+    for r0 in range(0, n, step):
+        u = rng.random((min(step, n - r0), n))
+        r, c = np.nonzero(u[:, r0 + 1 :] < p)
+        c += r0 + 1
+        keep = c > r + r0
+        r, c = r[keep], c[keep]
+        rows.append(r + r0)
+        cols.append(c)
+        vals.append(u[r, c])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _er_pilots(n: int, cap: float) -> list:
+    """Each pilot's upper-triangle uniforms below ``cap``, sorted by value, with
+    their rows and columns; the pilot's edges at p < cap are a prefix."""
+    rng = np.random.default_rng(np.random.SeedSequence(_PILOT_ENTROPY + n))
+    pilots = []
+    for _ in range(_PILOT_COUNT):
+        rows, cols, vals = _stream_er(rng, n, cap)
+        order = np.argsort(vals, kind="stable")
+        pilots.append((vals[order], rows[order], cols[order]))
+    return pilots
 
 
 @lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_er(n: int, target: float) -> float:
-    """Edge probability whose pilot mean Markov blanket size hits the target."""
+    """Edge probability whose pilot mean Markov blanket size hits the target.
 
-    def pilot_mean(p: float) -> float:
-        return float(
-            np.mean([adjacency_mean_mb(_er_adjacency(n, p, u)) for u in _pilot_uniforms(n)])
-        )
-
-    if target > pilot_mean(1.0):
+    A blanket is never smaller than its node's skeleton degree, so once the
+    pilots' mean skeleton degree reaches the target at a cap, every midpoint
+    at or above the cap lowers ``hi`` without a count, and the pilots keep
+    only their entries below it.  The pilot mean is a step function of p, so
+    each count is made once per tuple of pilot edge counts.
+    """
+    if target > n - 1:  # the pilot mean at p = 1: every pair is an edge
         raise ParameterError(
             f"mean Markov blanket size {target} is not reachable with {n} nodes"
         )
+    cap = min(1.0, _CAP_FACTOR * max(target, 1.0) / (n - 1))
+    pilots = _er_pilots(n, cap)
+    # the pilot mean's own float formula with edges for blanket pairs, so it
+    # bounds the pilot mean at every p >= cap from below, rounding included
+    while cap < 1.0 and float(np.mean([2 * len(v) / n for v, _, _ in pilots])) < target:
+        cap = min(1.0, 2.0 * cap)
+        pilots = _er_pilots(n, cap)
+    seen = {}
+
+    def pilot_mean(p: float) -> float:
+        nonlocal cap, pilots
+        if p >= 1.0:
+            return float(n - 1)
+        if p >= cap:  # only a final bracket end can lie above the cap
+            cap = min(1.0, 2.0 * p)
+            pilots = _er_pilots(n, cap)
+        counts = tuple(int(np.searchsorted(v, p)) for v, _, _ in pilots)
+        if counts not in seen:
+            seen[counts] = _ensemble_mean([(r[:k], c[:k]) for k, (_, r, c) in zip(counts, pilots)], n)
+        return seen[counts]
+
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if pilot_mean(mid) < target:
+        if mid < cap and pilot_mean(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -157,28 +232,24 @@ def _calibrate_er(n: int, target: float) -> float:
     return best
 
 
-def _ba_adjacency(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
+def _ba_edges(n: int, m: int, rng: np.random.Generator):
+    parents, children = [], []
     degree = np.zeros(n, dtype=np.int64)
     for v in range(1, n):
         k = min(m, v)
         weights = (degree[:v] + 1).astype(float)
         targets = rng.choice(v, size=k, replace=False, p=weights / weights.sum())
-        for t in targets:
-            adj[t, v] = True
-            degree[t] += 1
-            degree[v] += 1
-    return adj
+        degree[targets] += 1
+        degree[v] += k
+        parents.extend(targets.tolist())
+        children.extend([v] * k)
+    return np.array(parents, dtype=np.int64), np.array(children, dtype=np.int64)
 
 
 @lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_ba(n: int, target: float) -> int:
     def pilot_mean(m: int) -> float:
-        vals = []
-        for s in _pilot_seeds(n):
-            rng = np.random.default_rng(s)
-            vals.append(adjacency_mean_mb(_ba_adjacency(n, m, rng)))
-        return float(np.mean(vals))
+        return _ensemble_mean([_ba_edges(n, m, np.random.default_rng(s)) for s in _pilot_seeds(n)], n)
 
     best_m, best_gap = 1, math.inf
     for m in range(1, n):
@@ -191,7 +262,7 @@ def _calibrate_ba(n: int, target: float) -> int:
     return best_m
 
 
-def _ws_adjacency(n: int, k: int, rewire: float, rng: np.random.Generator) -> np.ndarray:
+def _ws_edges(n: int, k: int, rewire: float, rng: np.random.Generator):
     half = k // 2
     pairs = set()
     for i in range(n):
@@ -212,20 +283,16 @@ def _ws_adjacency(n: int, k: int, rewire: float, rng: np.random.Generator) -> np
                 break
         else:
             rewired.add((u, v))
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in rewired:
-        adj[u, v] = True
-    return adj
+    parents, children = np.array(sorted(rewired), dtype=np.int64).reshape(-1, 2).T
+    return parents, children
 
 
 @lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_ws(n: int, target: float, rewire: float) -> int:
     def pilot_mean(k: int) -> float:
-        vals = []
-        for s in _pilot_seeds(n):
-            rng = np.random.default_rng(s)
-            vals.append(adjacency_mean_mb(_ws_adjacency(n, k, rewire, rng)))
-        return float(np.mean(vals))
+        return _ensemble_mean(
+            [_ws_edges(n, k, rewire, np.random.default_rng(s)) for s in _pilot_seeds(n)], n
+        )
 
     best_k, best_gap = 2, math.inf
     k = 2
@@ -240,43 +307,44 @@ def _calibrate_ws(n: int, target: float, rewire: float) -> int:
     return best_k
 
 
-def _islands_adjacency(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
+def _islands_edges(spec: GenSpec, rng: np.random.Generator):
     n, count = spec.n, spec.islands
     sizes = [n // count + (1 if i < n % count else 0) for i in range(count)]
     starts = np.cumsum([0] + sizes[:-1])
-    adj = np.zeros((n, n), dtype=bool)
+    parents, children = [], []
     for size, start in zip(sizes, starts):
         p = _calibrate_er(size, min(spec.mb_size, size - 1))
-        block = np.triu(rng.random((size, size)) < p, k=1)
-        adj[start : start + size, start : start + size] = block
-    for i in range(count - 1):
-        # one bridge from the last node of each island to the first of the next
-        u = starts[i] + sizes[i] - 1
-        v = starts[i + 1]
-        adj[u, v] = True
-    return adj
+        rows, cols, _ = _stream_er(rng, size, p)
+        parents.append(rows + start)
+        children.append(cols + start)
+    # one bridge from the last node of each island to the first of the next
+    parents.append(starts[1:] - 1)
+    children.append(starts[1:])
+    return np.concatenate(parents), np.concatenate(children)
 
 
-def _adjacency(spec: GenSpec, rng: np.random.Generator) -> np.ndarray:
+def _edges(spec: GenSpec, rng: np.random.Generator):
+    """Parent and child positions of the structure's edges, in any order."""
     if spec.family == "er":
-        p = _calibrate_er(spec.n, spec.mb_size)
-        return _er_adjacency(spec.n, p, rng.random((spec.n, spec.n)))
+        rows, cols, _ = _stream_er(rng, spec.n, _calibrate_er(spec.n, spec.mb_size))
+        return rows, cols
     if spec.family == "ba":
         m = _calibrate_ba(spec.n, spec.mb_size)
-        return _ba_adjacency(spec.n, m, rng)
+        return _ba_edges(spec.n, m, rng)
     if spec.family == "ws":
         k = _calibrate_ws(spec.n, spec.mb_size, spec.rewire_prob)
-        return _ws_adjacency(spec.n, k, spec.rewire_prob, rng)
-    return _islands_adjacency(spec, rng)
+        return _ws_edges(spec.n, k, spec.rewire_prob, rng)
+    return _islands_edges(spec, rng)
 
 
 def gen_dag(spec: GenSpec) -> Dag:
     """Draw the structure for ``spec``; node names sort like node order."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    adj = _adjacency(spec, rng)
+    parents, children = _edges(spec, rng)
+    order = np.lexsort((children, parents))  # row-major, as the edges are listed
     width = len(str(spec.n - 1))
     names = tuple(f"X{i:0{width}d}" for i in range(spec.n))
-    edges = [(names[u], names[v]) for u, v in zip(*np.nonzero(adj))]
+    edges = [(names[u], names[v]) for u, v in zip(parents[order].tolist(), children[order].tolist())]
     return Dag(names, edges)
 
 

@@ -167,11 +167,13 @@ def test_moral_adjacency_families_are_cliques():
 
 
 def _triangulate(ids, adj):
-    """triangulate without a table cap, and the chordal graph its cliques
-    span, as neighbour positions."""
+    """triangulate without a table cap, its elimination order and cliques by
+    name, and the chordal graph its cliques span, as neighbour positions."""
     tri = triangulate(ids, adj, [2] * len(ids), math.inf)
-    edges = [(c[i], c[j]) for c in tri.cliques for i in range(len(c)) for j in range(i + 1, len(c))]
-    return tri, adjacency(ids, edges)
+    order = tuple(ids[u] for u in tri.elimination_order)
+    cliques = [tuple(ids[u] for u in c) for c in tri.cliques]
+    edges = [(c[i], c[j]) for c in cliques for i in range(len(c)) for j in range(i + 1, len(c))]
+    return order, cliques, adjacency(ids, edges)
 
 
 def _edge_count(adj):
@@ -180,15 +182,15 @@ def _edge_count(adj):
 
 def test_triangulate_four_cycle():
     adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-    tri, chordal = _triangulate("ABCD", adj)
+    order, _, chordal = _triangulate("ABCD", adj)
     assert find_chordless_cycle(chordal) is None
     assert _edge_count(chordal) == 5  # exactly one chord added
-    assert sorted(tri.elimination_order) == list("ABCD")
+    assert sorted(order) == list("ABCD")
 
 
 def test_triangulate_keeps_chordal_input():
     adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("B", "D")])
-    _, chordal = _triangulate("ABCD", adj)
+    _, _, chordal = _triangulate("ABCD", adj)
     assert chordal == adj
 
 
@@ -198,7 +200,7 @@ def test_triangulate_random_graphs_chordal():
         n = int(rng.integers(4, 11))
         names = tuple(f"n{i}" for i in range(n))
         adj = adjacency(names, random_edges(rng, names, 0.35))
-        _, chordal = _triangulate(names, adj)
+        _, _, chordal = _triangulate(names, adj)
         assert all(ns <= cs for ns, cs in zip(adj, chordal))
         assert find_chordless_cycle(chordal) is None
 
@@ -207,10 +209,8 @@ def test_triangulate_matches_reference_min_fill():
     rng = np.random.default_rng(31)
     count = 0
     for ids, adj in oracle_graphs(rng):
-        tri, _ = _triangulate(ids, adj)
-        order, cliques = reference_min_fill(ids, adj)
-        assert tri.elimination_order == order
-        assert list(tri.cliques) == cliques
+        order, cliques, _ = _triangulate(ids, adj)
+        assert (order, cliques) == reference_min_fill(ids, adj)
         count += 1
     assert count > 300
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +8,29 @@ import pytest
 from bnmarg.errors import ArgumentError, DomainError, ParameterError
 from bnmarg.graphs import Dag
 from bnmarg import randnet
+from bnmarg.netformat import serialize_network
 from bnmarg.randnet import (
     FAMILIES,
     GenSpec,
-    adjacency_mean_mb,
+    blanket_means,
     gen_dag,
     gen_network,
     mean_markov_blanket,
     nrmse,
     pick_evidence,
 )
+
+
+def adjacency_mean_mb(adj: np.ndarray) -> float:
+    """Mean Markov blanket size of a boolean parent->child adjacency matrix,
+    by a dense int64 product: the oracle for ``blanket_means``."""
+    a = np.asarray(adj, dtype=bool)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ArgumentError("adjacency must be a square matrix")
+    co = (a.astype(np.int64) @ a.T.astype(np.int64)) > 0
+    mb = a | a.T | co
+    np.fill_diagonal(mb, False)
+    return float(mb.sum(axis=1).mean())
 
 
 def test_spec_validation():
@@ -64,6 +79,41 @@ def test_mean_markov_blanket_on_known_graphs():
     assert adjacency_mean_mb(adj) == pytest.approx(2.0)
 
 
+def _adjacency(n, parents, children):
+    adj = np.zeros((n, n), dtype=bool)
+    adj[parents, children] = True
+    return adj
+
+
+def test_blanket_means_match_dense_oracle():
+    rng = np.random.default_rng(3)
+    cases = [
+        (5, [], []),  # empty
+        (6, *np.triu_indices(6, 1)),  # complete
+        (3, [0, 1], [2, 2]),  # collider
+        (7, [0, 0, 4], [1, 2, 1]),  # isolated 3, 5 and 6
+    ]
+    for n in (2, 9, 40, 75):
+        for p in (0.05, 0.3, 1.0):
+            rows, cols = np.nonzero(np.triu(rng.random((n, n)) < p, k=1))
+            perm = rng.permutation(n)  # orient along a random order
+            cases.append((n, perm[rows], perm[cols]))
+    for n, parents, children in cases:
+        parents = np.asarray(parents, dtype=np.int64)
+        children = np.asarray(children, dtype=np.int64)
+        want = adjacency_mean_mb(_adjacency(n, parents, children))
+        assert blanket_means(parents, children, n)[0] == want, (n, len(parents))
+    # disjoint graphs laid out in one count give each graph its own mean
+    laid = [(n, pa, ch) for n, pa, ch in cases if n == 40]
+    means = blanket_means(
+        np.concatenate([np.asarray(pa) + 40 * g for g, (_, pa, _) in enumerate(laid)]),
+        np.concatenate([np.asarray(ch) + 40 * g for g, (_, _, ch) in enumerate(laid)]),
+        40,
+        len(laid),
+    )
+    assert means.tolist() == [adjacency_mean_mb(_adjacency(40, pa, ch)) for _, pa, ch in laid]
+
+
 def test_mean_markov_blanket_matches_dense_adjacency():
     for family in FAMILIES:
         for seed in range(6):
@@ -97,17 +147,76 @@ def test_er_blanket_calibration():
     assert abs(float(np.mean(sizes)) - target) < 0.5
 
 
-def test_pilot_matrices_are_kept_for_one_size():
-    # each size's pilot ensemble is eight n x n matrices, so only the last
-    # size's are kept; a size calibrated again after its matrices were
-    # dropped gets the same fit, since they are drawn from a fixed seed
+def test_calibration_memory_is_bounded():
+    # the pilots are streamed in row chunks and keep only their entries
+    # below the cap, so a cold fit at n = 2000 holds no n x n matrix (one
+    # float64 matrix is 32 MB, and the pilots are eight of them)
     randnet._calibrate_er.cache_clear()
-    first = randnet._calibrate_er(30, 2.5)
-    for n in (30, 40, 50):
-        gen_dag(GenSpec(family="er", n=n, mb_size=2.5, seed=1))
-    assert randnet._pilot_uniforms.cache_info().currsize == 1
+    tracemalloc.start()
+    try:
+        gen_dag(GenSpec(family="er", n=2000, mb_size=4.0, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
+    first = randnet._calibrate_er(2000, 4.0)
     randnet._calibrate_er.cache_clear()
-    assert randnet._calibrate_er(30, 2.5) == first
+    assert randnet._calibrate_er(2000, 4.0) == first
+
+
+def test_er_bracket_end_above_the_cap_is_counted(monkeypatch):
+    # a cap factor that puts the cap exactly on the bisection's final upper
+    # end: the bracket decisions are the same, and that end is counted on
+    # pilots redrawn to a larger cap
+    fit = randnet._calibrate_er(12, 0.2)
+    caps = []
+    draw = randnet._er_pilots
+
+    def spy(n, cap):
+        caps.append(cap)
+        return draw(n, cap)
+
+    monkeypatch.setattr(randnet, "_CAP_FACTOR", 0.18322468849811838)
+    monkeypatch.setattr(randnet, "_er_pilots", spy)
+    randnet._calibrate_er.cache_clear()
+    assert randnet._calibrate_er(12, 0.2) == fit
+    randnet._calibrate_er.cache_clear()
+    assert len(caps) == 2 and caps[1] == 2.0 * caps[0], caps
+
+
+def _pinned_specs():
+    for family in FAMILIES:
+        for n in (8, 23, 57, 130):
+            for mb in (1.5, 2.5, 4.0):
+                for seed in (0, 3, 11, 40, 97):
+                    yield GenSpec(family, n, mb, categories=2 + seed % 2, seed=seed)
+
+
+def test_generated_networks_are_pinned():
+    # 240 draws across the four families, serialized; and the fitted
+    # parameters of the three calibrations on a small grid
+    digest = hashlib.sha256()
+    for spec in _pinned_specs():
+        digest.update(serialize_network(gen_network(spec)).encode())
+    assert digest.hexdigest() == "854b8c1b559a553801a89a8d1f0ae9da3a6120d6b50a60058793662ba738d294"
+    er = [(n, t) for n in (10, 20, 43, 50, 120) for t in (1.5, 4.0)]
+    er += [(200, 4.0), (120, 8.0), (30, 29.0), (12, 1e-9)]
+    assert repr([randnet._calibrate_er(n, t) for n, t in er]) == (
+        "[0.14535587433934494, 0.32030141557305514, 0.04939331742423392, "
+        "0.11448706315991553, 0.022738310765733964, 0.053745263532088756, "
+        "0.02356377782999342, 0.05223894893217029, 0.009706295054811688, "
+        "0.01995964182899679, 0.011661551224337765, 0.03183125411592314, "
+        "0.9986195214721636, 0.0]"
+    )
+    ba = [randnet._calibrate_ba(n, t) for n in (10, 20, 50, 120) for t in (1.5, 4.0, 8.0)]
+    assert repr(ba) == "[1, 2, 6, 1, 2, 3, 1, 2, 3, 1, 2, 3]"
+    ws = [
+        randnet._calibrate_ws(n, t, r)
+        for n in (10, 20, 50, 120)
+        for t in (1.5, 4.0, 8.0)
+        for r in (0.1, 0.3)
+    ]
+    assert repr(ws) == "[2, 2, 4, 2, 6, 6, 2, 2, 4, 2, 6, 4, 2, 2, 4, 2, 6, 4, 2, 2, 4, 2, 6, 4]"
 
 
 def test_other_families_track_target_loosely():
