@@ -10,12 +10,14 @@ sets drawn from e:
     e_ch  evidence in the union of their children,
     e_pa  evidence in the union of their parents.
 
-One breadth-first search over the moral adjacency, read off the parent
-lists and stopped at evidence, finds every group together with its e_mb
-(the evidence it touches); e_ch and e_pa come from the members' own child
-and parent lists.  The query then factorizes into one term per group plus
-a closed-form factor for the leftover evidence e' = e minus all child
-boundaries, whose parents are all evidence themselves.
+The front end is linear in the relevant nodes and builds no moral graph.
+The restriction filters the network's own lists (see
+:meth:`CategoricalBN.restrict`), and one breadth-first search over the
+parent and child lists, stopped at evidence, finds every group together
+with its boundaries: a node's moral neighbours are its parents, its
+children and their other parents.  The query then factorizes into one term
+per group plus a closed-form factor for the leftover evidence e' = e minus
+all child boundaries, whose parents are all evidence themselves.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError
-from .graphs import Dag, moral_adjacency
+from .graphs import Dag
 from .network import CategoricalBN, validate_evidence
 
 
@@ -60,48 +62,66 @@ def relevant_subgraph(bn: CategoricalBN, e: Iterable) -> CategoricalBN:
 
 def find_subsets(dag: Dag, e: Iterable) -> tuple[tuple, tuple]:
     """Connected components of the moralized graph after deleting e, with
-    their evidence boundaries, from one traversal of the moral adjacency.
+    their evidence boundaries, from one breadth-first pass over the parent
+    and child lists.
 
     The caller passes the relevant subgraph for e; on that graph the
     components are exactly the maximal groups of non-evidence nodes that are
     pairwise d-connected given e and d-separated from everything else by e.
+    A node's moral neighbours are its parents, its children and their other
+    parents, read straight off the graph's lists; no moral graph is built.
     A breadth-first search from each not yet reached non-evidence node, in
-    canonical order, stops at evidence positions; the evidence it touches is
-    the component's ``e_mb`` (a node's moral neighbours are its Markov
-    blanket), and ``e_ch`` and ``e_pa`` are the evidence among the members'
-    own children and parents.
+    canonical order, stops at evidence: the evidence it touches is the
+    component's ``e_mb`` (a node's moral neighbours are its Markov blanket),
+    and the evidence among the members' own children and parents is
+    ``e_ch`` and ``e_pa``.
 
     Returns ``(subsets, boundaries)``: components listed by their smallest
     member, members in canonical order, and one SubsetBoundary each.
     """
     ev = set(e)
     dag.check_nodes(ev)
-    nodes = dag.node_ids
-    adj = moral_adjacency(dag, nodes)
-    observed = [v in ev for v in nodes]
-    seen = list(observed)  # evidence never starts or joins a component
+    parents = dag._parents
+    children = dag._children
+    key = dag._index.__getitem__
+    seen = set(ev)  # evidence never starts or joins a component
     subsets = []
     boundaries = []
-    for start in range(len(nodes)):
-        if seen[start]:
+    for start in dag.node_ids:
+        if start in seen:
             continue
-        seen[start] = True
+        seen.add(start)
         comp = [start]
-        mb = set()
-        for i in comp:  # comp grows while it is read: a breadth-first queue
-            for j in adj[i]:
-                if observed[j]:
-                    mb.add(j)
-                elif not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-        comp.sort()
-        members = tuple(nodes[i] for i in comp)
-        ch = {c for v in members for c in dag.children(v) if c in ev}
-        pa = {p for v in members for p in dag.parents(v) if p in ev}
-        subsets.append(members)
+        ch = set()
+        pa = set()
+        spouses = set()
+        for v in comp:  # comp grows while it is read: a breadth-first queue
+            for p in parents[v]:
+                if p in ev:
+                    pa.add(p)
+                elif p not in seen:
+                    seen.add(p)
+                    comp.append(p)
+            for c in children[v]:
+                if c in ev:
+                    ch.add(c)
+                elif c not in seen:
+                    seen.add(c)
+                    comp.append(c)
+                for p in parents[c]:
+                    if p in ev:
+                        spouses.add(p)
+                    elif p not in seen:
+                        seen.add(p)
+                        comp.append(p)
+        comp.sort(key=key)
+        subsets.append(tuple(comp))
         boundaries.append(
-            SubsetBoundary(e_mb=tuple(nodes[j] for j in sorted(mb)), e_ch=dag.sort(ch), e_pa=dag.sort(pa))
+            SubsetBoundary(
+                e_mb=tuple(sorted(ch | pa | spouses, key=key)),
+                e_ch=tuple(sorted(ch, key=key)),
+                e_pa=tuple(sorted(pa, key=key)),
+            )
         )
     return tuple(subsets), tuple(boundaries)
 
@@ -120,12 +140,11 @@ def decompose(bn: CategoricalBN, evidence: Mapping) -> SubsetDecomposition:
     ev = set(evidence)
     rel = relevant_subgraph(bn, ev)
     subsets, boundaries = find_subsets(rel.dag, ev)
-    covered = set()
-    for b in boundaries:
-        covered.update(b.e_ch)
-    leftover = rel.dag.sort(ev - covered)
+    left = ev.difference(*(b.e_ch for b in boundaries))
+    leftover = tuple(filter(left.__contains__, rel.dag.node_ids))
+    parents = rel.dag._parents
     for v in leftover:
-        if not set(rel.dag.parents(v)) <= ev:
+        if not ev.issuperset(parents[v]):
             raise InternalConsistencyError(
                 f"leftover evidence node {v!r} has a non-evidence parent"
             )

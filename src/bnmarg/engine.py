@@ -112,7 +112,7 @@ def evidence_only_factor(bn: CategoricalBN, e_prime, evidence: Mapping) -> float
     for v in e_prime:
         if v not in evidence:
             raise ArgumentError(f"leftover node {v!r} is not observed")
-        if not all(p in evidence for p in bn.dag.parents(v)):
+        if not all(map(evidence.__contains__, bn.dag.parents(v))):
             raise InternalConsistencyError(
                 f"leftover evidence node {v!r} has unobserved parents"
             )

@@ -9,7 +9,9 @@ assembled.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -58,13 +60,10 @@ class Dag:
         self.edges = frozenset(edge_list)
 
         parents = {v: [] for v in self.node_ids}
-        children = {v: [] for v in self.node_ids}
         for u, v in edge_list:
             parents[v].append(u)
-            children[u].append(v)
         key = self._index.__getitem__
         self._parents = {v: tuple(sorted(ps, key=key)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs, key=key)) for v, cs in children.items()}
         self._topo = self._compute_topological_order()
 
     # -- basic queries ----------------------------------------------------
@@ -124,36 +123,52 @@ class Dag:
     def subgraph(self, nodes: Iterable) -> "Dag":
         """Induced subgraph, node order inherited from this graph.
 
-        Built from this graph's validated parent and child lists, filtered to
-        the kept nodes, without the constructor's checks: an induced subgraph
-        of a DAG is a DAG.  The result shares the node ids.  When no kept
-        node loses a parent (an ancestral set), the topological order is this
-        graph's, filtered: nodes outside the set never make a kept node
-        ready, so they never change which kept node the min-heap order takes
-        next.  Otherwise the order is recomputed.
+        Built without the constructor's checks (an induced subgraph of a DAG
+        is a DAG) by linear passes over this graph's validated lists: the
+        kept ids, in canonical and in topological order, are these lists
+        filtered, and the result shares the node ids and every parent tuple
+        that loses no member.  When no kept node loses a parent (an
+        ancestral set), every parent tuple is shared and the topological
+        order is this graph's, filtered: nodes outside the set never make a
+        kept node ready, so they never change which kept node the min-heap
+        order takes next.  Otherwise the order is recomputed.  The child
+        lists and the edge set are built on first use.
         """
-        keep = set(nodes)
+        return self._induced(set(nodes))[0]
+
+    def _induced(self, keep: set) -> tuple["Dag", bool]:
+        """:meth:`subgraph` on the kept set, and whether that set is ancestral."""
         self.check_nodes(keep)
+        kept = keep.__contains__
         sub = Dag.__new__(Dag)
-        sub.node_ids = ids = tuple(sorted(keep, key=self._index.__getitem__))
-        sub._index = {v: i for i, v in enumerate(ids)}
-        sub._parents = parents = {}
-        sub._children = children = {}
-        ancestral = True
-        for v in ids:  # a list that loses nothing is shared, not copied
-            ps = self._parents[v]
-            if not keep.issuperset(ps):
-                ps = tuple(p for p in ps if p in keep)
-                ancestral = False
-            parents[v] = ps
-            cs = self._children[v]
-            children[v] = cs if keep.issuperset(cs) else tuple(c for c in cs if c in keep)
-        sub.edges = frozenset([(p, v) for v in ids for p in parents[v]])
+        sub.node_ids = ids = tuple(filter(kept, self.node_ids))
+        sub._index = dict(zip(ids, range(len(ids))))
+        parents = list(map(self._parents.__getitem__, ids))
+        ancestral = keep.issuperset(itertools.chain.from_iterable(parents))
         if ancestral:
-            sub._topo = tuple(filter(keep.__contains__, self._topo))
+            sub._parents = dict(zip(ids, parents))
+            sub._topo = tuple(filter(kept, self._topo))
         else:
+            parents = [ps if keep.issuperset(ps) else tuple(filter(kept, ps)) for ps in parents]
+            sub._parents = dict(zip(ids, parents))
             sub._topo = sub._compute_topological_order()
-        return sub
+        return sub, ancestral
+
+    @functools.cached_property
+    def _children(self) -> dict:
+        """Each node's children, in canonical order, read off the parent
+        tuples on first use."""
+        children = {v: [] for v in self.node_ids}
+        for v in self.node_ids:
+            for p in self._parents[v]:
+                children[p].append(v)
+        return {v: tuple(cs) for v, cs in children.items()}
+
+    @functools.cached_property
+    def edges(self) -> frozenset:
+        """Every (parent, child) pair; the constructor sets it, and an
+        induced subgraph builds it on first use."""
+        return frozenset([(p, v) for v in self.node_ids for p in self._parents[v]])
 
     # -- topological order -------------------------------------------------
 
@@ -221,14 +236,6 @@ class Triangulation:
 
     elimination_order: tuple
     cliques: tuple
-
-
-def moral_adjacency(dag: Dag, nodes: Sequence) -> list[set]:
-    """Moral graph of the subgraph of ``dag`` induced by ``nodes``, read off
-    the parent lists: entry i holds the positions (in ``nodes``) of the
-    neighbours of ``nodes[i]``."""
-    pos = {v: i for i, v in enumerate(nodes)}
-    return moral_graph([[pos[p] for p in dag._parents[v] if p in pos] + [i] for i, v in enumerate(nodes)])
 
 
 def moral_graph(families: Sequence[list]) -> list[set]:

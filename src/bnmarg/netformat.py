@@ -272,8 +272,8 @@ def serialize_network(bn: CategoricalBN) -> str:
         out.write("  states " + " ".join(bn.state_names[name]) + "\n")
         if parents:
             out.write("  parents " + " ".join(parents) + "\n")
-        for row in table:
-            out.write("  cpt " + " ".join(repr(float(x)) for x in row) + "\n")
+        for row in table.tolist():
+            out.write("  cpt " + " ".join(map(repr, row)) + "\n")
         out.write("\n")
     return out.getvalue()
 

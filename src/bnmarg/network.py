@@ -144,23 +144,24 @@ class CategoricalBN:
         Raises UnknownNodeError for a name outside the network and
         ArgumentError when a retained node would lose a parent.  The result
         is built from this already-validated network without re-checking
-        it: it shares the node ids, the read-only CPT arrays and the
-        state-name tuples, and its graph takes this graph's topological
-        order, filtered (see :meth:`Dag.subgraph`).
+        it: it shares the node ids, the read-only CPT arrays, the state-name
+        tuples and every parent tuple, and its graph takes this graph's
+        topological order, filtered (see :meth:`Dag.subgraph`).
         """
         keep = set(nodes)
-        sub = self.dag.subgraph(keep)
-        for v in sub.node_ids:
-            if len(sub._parents[v]) != len(self.dag._parents[v]):
-                raise ArgumentError(
-                    f"cannot restrict: node {v!r} loses parents "
-                    f"{[p for p in self.dag.parents(v) if p not in keep]}"
-                )
+        sub, ancestral = self.dag._induced(keep)
+        if not ancestral:
+            v = next(v for v in sub.node_ids if len(sub._parents[v]) != len(self.dag._parents[v]))
+            raise ArgumentError(
+                f"cannot restrict: node {v!r} loses parents "
+                f"{[p for p in self.dag.parents(v) if p not in keep]}"
+            )
         net = CategoricalBN.__new__(CategoricalBN)  # trusted: skips __init__'s checks and copies
         net.dag = sub
-        net.cardinalities = {v: self.cardinalities[v] for v in sub.node_ids}
-        net.cpts = {v: self.cpts[v] for v in sub.node_ids}
-        net.state_names = {v: self.state_names[v] for v in sub.node_ids}
+        ids, cards, cpts, names = sub.node_ids, self.cardinalities, self.cpts, self.state_names
+        net.cardinalities = {v: cards[v] for v in ids}
+        net.cpts = {v: cpts[v] for v in ids}
+        net.state_names = {v: names[v] for v in ids}
         return net
 
 

@@ -13,7 +13,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from bnmarg.graphs import Dag
+from bnmarg.decompose import SubsetBoundary
+from bnmarg.graphs import Dag, moral_graph
 from bnmarg.network import CategoricalBN
 
 
@@ -172,6 +173,49 @@ def moral_edges(dag):
         ps = dag.parents(v)
         edges.update(frozenset((a, b)) for i, a in enumerate(ps) for b in ps[i + 1 :])
     return edges
+
+
+def moral_adjacency(dag, nodes):
+    """Moral graph of the subgraph of ``dag`` induced by ``nodes``, read off
+    the parent lists: entry i holds the positions (in ``nodes``) of the
+    neighbours of ``nodes[i]``."""
+    pos = {v: i for i, v in enumerate(nodes)}
+    return moral_graph([[pos[p] for p in dag.parents(v) if p in pos] + [i] for i, v in enumerate(nodes)])
+
+
+def reference_find_subsets(dag, e):
+    """``find_subsets`` by a breadth-first search over an explicit moral
+    graph: components of the non-evidence nodes, the evidence each touches,
+    and the evidence among its members' children and parents."""
+    ev = set(e)
+    nodes = dag.node_ids
+    adj = moral_adjacency(dag, nodes)
+    observed = [v in ev for v in nodes]
+    seen = list(observed)
+    subsets = []
+    boundaries = []
+    for start in range(len(nodes)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        mb = set()
+        for i in comp:
+            for j in adj[i]:
+                if observed[j]:
+                    mb.add(j)
+                elif not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        members = tuple(nodes[i] for i in comp)
+        ch = {c for v in members for c in dag.children(v) if c in ev}
+        pa = {p for v in members for p in dag.parents(v) if p in ev}
+        subsets.append(members)
+        boundaries.append(
+            SubsetBoundary(e_mb=tuple(nodes[j] for j in sorted(mb)), e_ch=dag.sort(ch), e_pa=dag.sort(pa))
+        )
+    return tuple(subsets), tuple(boundaries)
 
 
 def markov_blanket(dag, v):

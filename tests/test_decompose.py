@@ -12,6 +12,7 @@ from conftest import (
     moral_edges,
     rand_bn,
     rand_evidence,
+    reference_find_subsets,
     reordered,
     sparse_bn,
     two_group_network,
@@ -81,6 +82,11 @@ def test_relevant_subgraph_matches_validated_construction():
         for e in ({}, some, dict.fromkeys(bn.node_ids, 0)):
             got = relevant_subgraph(bn, e)
             want = _validated_restriction(bn, set(e) | set(bn.dag.ancestors_of_set(e)))
+            # an ancestral restriction shares every parent tuple, and builds
+            # its edge set only when asked, equal to the constructor's
+            assert all(got.dag._parents[v] is bn.dag._parents[v] for v in got.node_ids)
+            assert "edges" not in vars(got.dag)
+            assert got.dag.edges == want.dag.edges
             assert dag_structure(got.dag) == dag_structure(want.dag)
             assert got.cardinalities == want.cardinalities
             assert got.state_names == want.state_names
@@ -153,6 +159,43 @@ def test_subset_boundaries_definitional():
             assert b.e_pa == dag.sort(pa & e)
             assert set(b.e_ch) <= set(b.e_mb) and set(b.e_pa) <= set(b.e_mb)
         assert [dag.index(s[0]) for s in subsets] == sorted(dag.index(s[0]) for s in subsets)
+
+
+def _sparse_er_dag(rng, n, mean_degree):
+    """Random DAG with edge probability ``mean_degree / (n - 1)``, drawn one
+    row at a time, over a shuffled node list (parents may follow children)."""
+    p = mean_degree / (n - 1)
+    names = [f"n{i}" for i in range(n)]
+    edges = [
+        (names[i], names[i + 1 + int(j)]) for i in range(n - 1) for j in np.flatnonzero(rng.random(n - 1 - i) < p)
+    ]
+    return Dag([names[i] for i in rng.permutation(n)], edges)
+
+
+def test_find_subsets_matches_moral_graph_search():
+    # the search over parent and child lists returns, tuple for tuple, what a
+    # breadth-first search over the explicit moral graph returns: on whole
+    # networks and on relevant subgraphs, from no evidence to all of it
+    rng = np.random.default_rng(61)
+    cases = []
+    for trial in range(60):
+        n = int(rng.integers(1, 13))
+        bn = sparse_bn(rng, n) if trial % 3 == 0 else rand_bn(rng, n, rng.random())
+        if trial % 2:
+            bn = reordered(rng, bn)
+        for fraction in (0.0, 0.1, 0.3, 0.6, 1.0):
+            e = set(rand_evidence(rng, bn, round(fraction * n)))
+            cases += [(bn.dag, e), (relevant_subgraph(bn, e).dag, e)]
+    big = _sparse_er_dag(rng, 2500, 1.6)
+    assert 1.4 < 2 * len(big.edges) / len(big) < 1.8
+    for fraction in (0.0, 0.05, 0.3, 0.7, 1.0):
+        e = set(rng.choice(big.node_ids, size=round(fraction * len(big)), replace=False).tolist())
+        cases += [(big, e), (big.subgraph(e | set(big.ancestors_of_set(e))), e)]
+    for dag, e in cases:
+        assert find_subsets(dag, e) == reference_find_subsets(dag, e)
+    # the large network has a giant component, which 30 % evidence splits
+    assert max(map(len, find_subsets(*cases[-10])[0])) > 1000
+    assert len(find_subsets(*cases[-4])[0]) > 100
 
 
 def test_decompose_two_groups():

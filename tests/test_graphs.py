@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bnmarg.errors import ArgumentError, CycleError, UnknownNodeError
-from bnmarg.graphs import Dag, d_separated, moral_adjacency, triangulate
+from bnmarg.graphs import Dag, d_separated, triangulate
 
 from conftest import (
     adjacency,
     dag_structure,
     find_chordless_cycle,
     markov_blanket,
+    moral_adjacency,
     moral_edges,
     oracle_graphs,
     path_d_separated,
@@ -81,6 +82,22 @@ def test_lookups_refuse_unknown_names():
     for query in (dag.parents, dag.children, lambda v: dag.sort(["A", v, "C"])):
         with pytest.raises(UnknownNodeError, match="unknown node 'Z'"):
             query("Z")
+
+
+def test_parent_and_child_lists_follow_canonical_order():
+    # read off the edge set, whatever order the edges came in, on whole
+    # graphs and on induced subgraphs (ancestral or not) that build them lazily
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        dag = reordered(rng, rand_bn(rng, int(rng.integers(1, 12)), rng.random())).dag
+        keep = {v for v in dag.node_ids if rng.random() < 0.6}
+        if trial % 2:
+            keep |= set(dag.ancestors_of_set(keep))
+        for g in (dag, dag.subgraph(keep)):
+            edges = {(u, v) for u, v in dag.edges if u in g and v in g}
+            for v in g.node_ids:
+                assert g.parents(v) == tuple(u for u in g.node_ids if (u, v) in edges)
+                assert g.children(v) == tuple(c for c in g.node_ids if (v, c) in edges)
 
 
 def test_relations_against_edge_composition():

@@ -7,7 +7,7 @@ import pytest
 from bnmarg.decompose import decompose, find_subsets, relevant_subgraph
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
-from bnmarg.graphs import Dag, moral_adjacency, triangulate
+from bnmarg.graphs import Dag, triangulate
 from bnmarg.junction import (
     PLAN_CACHE_SIZE,
     PLAN_NODE_LIMIT,
@@ -22,6 +22,7 @@ from bnmarg.network import CategoricalBN, log_enumerate_marginal
 from conftest import (
     adjacency,
     brute_marginal,
+    moral_adjacency,
     moral_edges,
     oracle_graphs,
     rand_bn,
