@@ -168,13 +168,19 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
                 continue
         sampled.append((i, sub, scope, factors, values))
 
+    # one loopy-BP run per width carries every sampled subset of that width;
+    # each subset then draws its own share of the budget from its own stream
     total_size = sum(len(sub) for _, sub, _, _, _ in sampled)
+    runs = {}  # width -> [(subset index, subset, clamped factors)]
     for i, sub, scope, factors, values in sampled:
-        m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total_size)))
-        rng = np.random.default_rng(derive_seed(cfg.sampler.seed, i))
         clamped = clamp_factors(rel, values, scope, factors)
-        q = loopy_bp(rel, values, cfg.sampler, nodes=scope, factor_nodes=factors, clamped=clamped)
-        reports[i] = _sampled_report(sub, clamped, q, rng, m)
+        runs.setdefault(clamped.width, []).append((i, sub, clamped))
+    for run in runs.values():
+        proposals = loopy_bp(rel, evidence, cfg.sampler, clamped=tuple(c for _, _, c in run))
+        for (i, sub, clamped), q in zip(run, proposals):
+            m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total_size)))
+            rng = np.random.default_rng(derive_seed(cfg.sampler.seed, i))
+            reports[i] = _sampled_report(sub, clamped, q, rng, m)
 
     log_total = 0.0
     for r in reports:  # subset order, so the sum does not depend on solving order

@@ -98,10 +98,20 @@ class _Block:
 
 
 def _tokenized_lines(text: str):
+    """Per line that holds a token, its ``(line, column, token)`` triples,
+    both counted from one; a ``#`` starts a comment.  ``str.split`` cuts at
+    exactly the characters the regex ``\\s`` matches, and each column is
+    found from the end of the token before it."""
     for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        toks = [(ln, m.start() + 1, m.group()) for m in re.finditer(r"\S+", body)]
-        if toks:
+        body = raw.partition("#")[0]
+        words = body.split()
+        if words:
+            toks = []
+            at = 0
+            for w in words:
+                at = body.find(w, at)
+                toks.append((ln, at + 1, w))
+                at += len(w)
             yield toks
 
 

@@ -132,10 +132,12 @@ class CategoricalBN:
 
     def row_index(self, v, assignment: Mapping):
         """Row of v's CPT for the parent states in ``assignment``: ints, or
-        int arrays of one shape, which give an array of rows."""
+        int arrays of one shape, which give an array of rows.  Horner's rule
+        over the parents in canonical order, exact for ints and int arrays."""
+        cards = self.cardinalities
         row = 0
-        for p, s in zip(self.dag.parents(v), self.parent_strides(v)):
-            row = row + s * assignment[p]
+        for p in self.dag.parents(v):
+            row = row * cards[p] + assignment[p]
         return row
 
     def restrict(self, nodes: Iterable) -> "CategoricalBN":

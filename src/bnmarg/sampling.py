@@ -185,6 +185,12 @@ class ClampedFactors:
     groups: tuple
     size: int
 
+    @property
+    def width(self) -> int:
+        """The largest cardinality among the free nodes: the padded width of
+        the message and belief rows :func:`loopy_bp` keeps for them."""
+        return int(self.cards.max())
+
     def _log_weights(self, q: "ImportanceDistribution"):
         """A function from a block of draws of ``q`` (a column slice of what
         ``q.sample`` returns) to the log of the product of the factors for
@@ -290,8 +296,8 @@ def loopy_bp(
     cfg: SamplerConfig,
     nodes: Optional[Iterable] = None,
     factor_nodes: Optional[Iterable] = None,
-    clamped: Optional[ClampedFactors] = None,
-) -> ImportanceDistribution:
+    clamped: ClampedFactors | tuple | None = None,
+) -> ImportanceDistribution | tuple:
     """Factor-graph sum-product beliefs as a factorized proposal.
 
     One factor per node in ``factor_nodes`` (its evidence-clamped CPT), one
@@ -310,6 +316,17 @@ def loopy_bp(
     same arguments; a caller that goes on to weight draws with
     :func:`importance_estimate` builds them once and passes them as
     ``clamped``, and the other arguments are then not read again.
+
+    ``clamped`` may also be a tuple of parts, each a :class:`ClampedFactors`
+    over its own free nodes, all of one :attr:`ClampedFactors.width`; the
+    result is then a tuple of proposals, one per part.  The parts share one
+    run of rounds, and each stops on its own: its beliefs are those of the
+    first round whose largest change within the part drops below the
+    tolerance, or of the last round.  Every proposal equals, byte for byte,
+    the one a call on that part alone returns.  (A part is padded to the
+    run's width, and rows of eight or more columns would be summed
+    pairwise, so parts of different widths are refused rather than padded.)
+
     Messages live in one array per direction with a row per (factor,
     variable) edge, zero-padded to the largest cardinality.  Factor tables
     are stacked per distinct shape, so a round costs a few array operations
@@ -317,50 +334,89 @@ def loopy_bp(
     """
     if clamped is None:
         clamped = clamp_factors(bn, evidence, nodes, factor_nodes)
-    free, edge_var = clamped.free, clamped.edge_var
-    groups = [(tables, edges) for tables, edges, _ in clamped.groups if edges.shape[1]]
+    if isinstance(clamped, ClampedFactors):
+        return _bp_run((clamped,), cfg)[0]
+    return _bp_run(tuple(clamped), cfg) if clamped else ()
 
-    card = clamped.cards
-    width = int(card.max())
+
+def _bp_run(parts: tuple, cfg: SamplerConfig) -> tuple:
+    """The rounds of :func:`loopy_bp` on the parts stacked into one factor
+    graph: part j's variables and edges follow those of the parts before
+    it, and its tables join the stacks of their shapes."""
+    width = parts[0].width
+    if any(p.width != width for p in parts):
+        raise ArgumentError("the parts of one loopy-BP run must share one width")
+    n_vars = [len(p.free) for p in parts]
+    var_start = np.cumsum([0] + n_vars[:-1])
+    edge_start = np.cumsum([0] + [len(p.edge_var) for p in parts[:-1]]).tolist()
+    card = np.concatenate([p.cards for p in parts])
+    edge_var = np.concatenate([p.edge_var + s for p, s in zip(parts, var_start.tolist())])
+    # a stack's memory layout sets the order in which a message's sum adds
+    # its terms, so only stacks of one table shape and one layout are joined
+    stacks = {}  # (table shape, table strides) -> [(tables, edge ids)] over the parts
+    for p, s in zip(parts, edge_start):
+        for tables, edges, _ in p.groups:
+            if edges.shape[1]:
+                stacks.setdefault((tables.shape[1:], tables.strides[1:]), []).append((tables, edges + s))
+
+    # the round plan: per stack, and per axis k of its tables, the message
+    # rows of its edges (the edge id column, cut to the axis's states when
+    # they are fewer than the width), the shape a message takes to broadcast
+    # along the axis, and the axes a message to it sums out
+    plan = []
+    for group in stacks.values():
+        tables = np.concatenate([t for t, _ in group])
+        edges = np.concatenate([e for _, e in group])
+        ndim = edges.shape[1]
+        axes = []
+        for k in range(ndim):
+            c = tables.shape[1 + k]
+            rows = np.ascontiguousarray(edges[:, k])
+            shape = [len(edges)] + [1] * ndim
+            shape[1 + k] = c
+            summed = tuple(1 + k2 for k2 in range(ndim) if k2 != k)
+            axes.append((rows if c == width else (rows, slice(c)), tuple(shape), summed))
+        plan.append((tables, axes))
+
     var_live = (np.arange(width) < card[:, None]).astype(float)
     var_uniform = var_live / card[:, None]
     edge_live = var_live[edge_var]
     edge_uniform = var_uniform[edge_var]
 
     # each variable's edges in factor order, grouped by the variable's degree
-    degree = np.bincount(edge_var, minlength=len(free))
+    degree = np.bincount(edge_var, minlength=len(card))
     by_var = np.argsort(edge_var, kind="stable")
     first = np.cumsum(degree) - degree
-    incident = []  # (variables of degree d, their (count, d) edge ids)
+    incident = []  # (variables of degree d, their (count, d) edge ids, their live states)
     for d in np.unique(degree[degree > 0]).tolist():
         vs = np.flatnonzero(degree == d)
-        incident.append((vs, by_var[first[vs, None] + np.arange(d)]))
+        incident.append((vs, by_var[first[vs, None] + np.arange(d)], var_live[vs, None]))
 
+    part_of_var = np.repeat(np.arange(len(parts)), n_vars)
+    running = np.ones(len(parts), dtype=bool)
     vf = edge_live  # variable-to-factor messages start at one
     beliefs = var_uniform
+    stopped = np.empty_like(beliefs)  # each part's rows from the round it stopped in
     for _ in range(cfg.lbp_iterations):
         fv = np.zeros_like(edge_live)
-        for tables, edges in groups:
-            ndim = edges.shape[1]
-            incoming = []
-            for k in range(ndim):
-                shape = [len(edges)] + [1] * ndim
-                shape[1 + k] = tables.shape[1 + k]
-                incoming.append(vf[edges[:, k], : shape[1 + k]].reshape(shape))
-            for k in range(ndim):
-                t = tables
-                for k2 in range(ndim):
-                    if k2 != k:
-                        t = t * incoming[k2]
-                axes = tuple(1 + k2 for k2 in range(ndim) if k2 != k)
-                fv[edges[:, k], : tables.shape[1 + k]] = t.sum(axis=axes) if axes else t
+        for tables, axes in plan:
+            incoming = [vf[at].reshape(shape) for at, shape, _ in axes]
+            # message k is (T * m0 * ... * m(k-1)) * m(k+1) * ... * m(d-1):
+            # the left-to-right product that skips m(k), on shared prefixes
+            prefix = tables
+            for k, (at, _, summed) in enumerate(axes):
+                t = prefix
+                for m in incoming[k + 1 :]:
+                    t = t * m
+                fv[at] = t.sum(axis=summed) if summed else t
+                if k + 1 < len(axes):
+                    prefix = prefix * incoming[k]
         fv = _normalized(fv, edge_uniform)
 
         vf = np.zeros_like(edge_live)
         raw = var_live.copy()  # a variable touching no factor keeps a flat belief
-        for vs, edges in incident:
+        for vs, edges, ones in incident:
             msgs = fv[edges]
-            ones = var_live[vs, None]
             fwd = np.cumprod(msgs, axis=1)
             # message to factor i: the product of the others, multiplied left
             # to right as a per-message loop would, so beliefs match it bit
@@ -372,14 +428,24 @@ def loopy_bp(
             raw[vs] = fwd[:, -1]
         vf = _normalized(vf, edge_uniform)
         nxt = _normalized(raw, var_uniform)
-        delta = float(np.max(np.abs(nxt - beliefs)))
+        delta = np.maximum.reduceat(np.abs(nxt - beliefs).max(axis=1), var_start)
         beliefs = nxt
-        if delta < cfg.lbp_tolerance:
-            break
+        done = running & (delta < cfg.lbp_tolerance)
+        if done.any():
+            rows = done[part_of_var]
+            stopped[rows] = beliefs[rows]
+            running &= ~done
+            if not running.any():
+                break
+    rows = running[part_of_var]
+    stopped[rows] = beliefs[rows]
 
-    floored = np.maximum(beliefs, cfg.belief_floor) * var_live
+    floored = np.maximum(stopped, cfg.belief_floor) * var_live
     floored = floored / floored.sum(axis=1, keepdims=True)
-    return ImportanceDistribution(nodes=tuple(free), probs=floored)
+    return tuple(
+        ImportanceDistribution(nodes=p.free, probs=floored[s : s + len(p.free)])
+        for p, s in zip(parts, var_start.tolist())
+    )
 
 
 def _is_summary(logw: np.ndarray) -> tuple[float, float]:

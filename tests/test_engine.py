@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bnmarg.decompose import decompose
+from bnmarg import engine
+from bnmarg.decompose import decompose, relevant_subgraph
 from bnmarg.engine import (
     METHODS,
     MarginalEstimate,
@@ -17,8 +18,8 @@ from bnmarg.engine import (
 from bnmarg.errors import ArgumentError, CapacityError, InternalConsistencyError
 from bnmarg.graphs import Dag
 from bnmarg.junction import _plan
-from bnmarg.network import CategoricalBN, log_joint_probability, sample_forward
-from bnmarg.sampling import SamplerConfig
+from bnmarg.network import CategoricalBN, derive_seed, log_joint_probability, sample_forward
+from bnmarg.sampling import SamplerConfig, clamp_factors, importance_estimate, loopy_bp
 
 from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
 
@@ -156,6 +157,50 @@ def test_budget_split_is_proportional():
         for r in sampled:
             want = m * len(r.nodes) / total_nodes
             assert abs(r.sample_count - want) <= 1.0
+
+
+def test_sgs_runs_loopy_bp_once_per_width(monkeypatch):
+    # every sampled subset of one width shares one loopy-BP call, and its
+    # report equals the one from its own call, its own draws and its share
+    runs = []
+
+    def counted(*args, clamped, **kwargs):
+        runs.append(clamped)
+        return loopy_bp(*args, clamped=clamped, **kwargs)
+
+    monkeypatch.setattr(engine, "loopy_bp", counted)
+    rng = np.random.default_rng(59)
+    several = shared = 0  # queries with two or more widths; most subsets in one call
+    for trial in range(30):
+        bn = sparse_bn(rng, int(rng.integers(12, 24)), p=0.12)
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(1, len(bn) // 2)))
+        cfg = SgsConfig(n_max=(0, 3)[trial % 2], sampler=SamplerConfig(sample_count=300, seed=trial))
+        runs.clear()
+        est = marginal_sgs(bn, e, cfg)
+        sampled = [i for i, r in enumerate(est.per_subset) if r.method == "approx"]
+        widths = [max(bn.cardinalities[v] for v in est.per_subset[i].nodes) for i in sampled]
+        assert len(runs) == len(set(widths))
+        assert sorted(len(parts) for parts in runs) == sorted(widths.count(w) for w in set(widths))
+        for parts in runs:
+            assert len({p.width for p in parts}) == 1
+        several += len(runs) > 1
+        shared = max([shared] + [len(parts) for parts in runs])
+
+        dec, rel = decompose(bn, e), relevant_subgraph(bn, set(e))
+        total = sum(len(dec.subsets[i]) for i in sampled)
+        for i in sampled:
+            sub, b = dec.subsets[i], dec.boundaries[i]
+            clamped = clamp_factors(rel, {v: e[v] for v in b.e_mb}, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch))
+            q = loopy_bp(rel, e, cfg.sampler, clamped=clamped)
+            m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total)))
+            res = importance_estimate(clamped, q, np.random.default_rng(derive_seed(cfg.sampler.seed, i)), m)
+            r = est.per_subset[i]
+            assert (r.log_factor, r.sample_count, r.weight_variance) == (
+                res.log_estimate, res.sample_count, res.weight_variance
+            )
+    assert several >= 5 and shared >= 3
 
 
 def test_sampled_mode_unbiased_within_error_bars():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from bnmarg.errors import (
     UnresolvedParentError,
 )
 from bnmarg.netformat import (
+    _tokenized_lines,
     parse_dataset,
     parse_network,
     serialize_dataset,
@@ -93,6 +96,23 @@ def test_comments_and_whitespace_are_free():
     text = "variable A # trailing comment\n\n  states x y#also\n\tcpt 0.5   0.5\n"
     bn = parse_network(text)
     assert bn.state_names["A"] == ("x", "y")
+
+
+def test_token_columns_match_the_whitespace_regex():
+    # error positions come from these columns: every kind of in-line
+    # whitespace, repeated tokens and a token inside an earlier one must give
+    # what scanning each line for the regex \S+ gives
+    text = (
+        "variable\u00a0A  # note\n\tstates xy\u3000x\u2003y x\n cpt 0.5 0.5#0.5\n\n#only\n"
+        "  \x1f \x0bparents\tA\u2028 cpt\u00a0\u00a01  0.5 1\r\nvariable B"
+    )
+    want = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = [(ln, m.start() + 1, m.group()) for m in re.finditer(r"\S+", raw.split("#", 1)[0])]
+        if toks:
+            want.append(toks)
+    assert len(want) == 6
+    assert list(_tokenized_lines(text)) == want
 
 
 def test_near_normalized_rows_are_renormalized():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +217,70 @@ def test_loopy_bp_beliefs_are_pinned():
                 h.update(p[: net.cardinalities[v]].tobytes())
         got.append(h.hexdigest()[:16])
     assert tuple(got) == LOOPY_BP_PINNED
+
+
+def _stop_round(part, cfg):
+    """The round in which ``part`` run alone stops, or None when it runs
+    out of rounds."""
+    def beliefs(rounds):
+        return loopy_bp(None, {}, replace(cfg, lbp_iterations=rounds), clamped=part).probs.tobytes()
+
+    last = beliefs(cfg.lbp_iterations)
+    if beliefs(cfg.lbp_iterations + 1) != last:
+        return None
+    return next(r for r in range(1, cfg.lbp_iterations + 1) if beliefs(r) == last)
+
+
+def test_loopy_bp_batch_equals_separate_calls():
+    rng = np.random.default_rng(2025)
+    parts = []
+    for trial in range(40):
+        n = int(rng.integers(4, 14))
+        bn = sparse_bn(rng, n, p=0.3) if trial % 3 else rand_bn(rng, n, 0.3, cards=(2,))
+        if trial % 2:  # moved axes
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(0, len(bn))))
+        for net, ev, nodes, factors in _bp_scopes(bn, e):
+            if any(v not in ev for v in (nodes or net.node_ids)):
+                parts.append(clamp_factors(net, ev, nodes, factors))
+    # parts whose factors are all constants: a free node beside an observed root
+    for card in (2, 3, 4, 5):
+        dag = Dag(("a", "b"), [])
+        bn = CategoricalBN(dag, {"a": card, "b": 2}, {"a": np.full((1, card), 1 / card), "b": [[0.3, 0.7]]})
+        parts.append(clamp_factors(bn, {"b": 1}, factor_nodes=("b",)))
+        assert parts[-1].groups[0][0].shape == (1,)
+    # one table shape in two memory layouts: the order in which a message
+    # adds its terms follows the layout, so the two must not share a stack
+    for ids in (("c", "p", "r"), ("p", "r", "c")):  # c's axis moves first, or stays last
+        cpts = {v: rng.random((25 if v == "c" else 1, 5)) for v in ids}
+        bn = CategoricalBN(
+            Dag(ids, [("p", "c"), ("r", "c")]),
+            dict.fromkeys(ids, 5),
+            {v: t / t.sum(axis=1, keepdims=True) for v, t in cpts.items()},
+        )
+        parts.append(clamp_factors(bn, {}, factor_nodes=("c",)))
+    assert parts[-1].groups[0][0].strides != parts[-2].groups[0][0].strides
+
+    kinds = {}  # (lbp_iterations, tolerance, width) -> how the parts of that run stopped
+    for iters, tol in ((1, 1e-6), (50, 1e-6), (8, 1e-4)):
+        cfg = SamplerConfig(sample_count=1, lbp_iterations=iters, lbp_tolerance=tol)
+        for width in (2, 3, 4, 5):
+            batch = tuple(p for p in parts if p.width == width)
+            assert len(batch) > 2
+            got = loopy_bp(None, {}, cfg, clamped=batch)
+            assert len(got) == len(batch)
+            stops = set()
+            for part, q in zip(batch, got):
+                want = loopy_bp(None, {}, cfg, clamped=part)
+                assert q.nodes == want.nodes == part.free
+                assert q.probs.tobytes() == want.probs.tobytes()
+                r = _stop_round(part, cfg)
+                stops.add("never" if r is None else "first" if r == 1 else "middle")
+            kinds[iters, tol, width] = stops
+    assert all({"first", "never"} <= kinds[1, 1e-6, width] for width in (2, 3, 4, 5))
+    assert any(s == {"first", "middle", "never"} for s in kinds.values())
+    with pytest.raises(ArgumentError, match="one width"):
+        loopy_bp(None, {}, cfg, clamped=(next(p for p in parts if p.width == 2), parts[-1]))
 
 
 # log values of ("lbp-is", "sgs" with n_max=0) recorded before loopy_bp and
