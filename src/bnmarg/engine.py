@@ -142,6 +142,11 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     threshold, capacity fallback to sampling, optional per-subset override),
     splits the sample budget across sampled subsets proportionally to size,
     and multiplies the factors back together in log space.
+
+    The sampled subsets get their proposals from one :func:`loopy_bp` call
+    per width (largest cardinality), on all their clamped factors at once;
+    each subset stops on its own, so its proposal, draws and factor are
+    those of a run on that subset alone.
     """
     cfg = cfg or SgsConfig()
     dec = decompose(bn, evidence)  # validates the evidence before any work

@@ -342,7 +342,8 @@ def loopy_bp(
 def _bp_run(parts: tuple, cfg: SamplerConfig) -> tuple:
     """The rounds of :func:`loopy_bp` on the parts stacked into one factor
     graph: part j's variables and edges follow those of the parts before
-    it, and its tables join the stacks of their shapes."""
+    it, and each of its table stacks joins those of the same table shape
+    and memory layout."""
     width = parts[0].width
     if any(p.width != width for p in parts):
         raise ArgumentError("the parts of one loopy-BP run must share one width")
