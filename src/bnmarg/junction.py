@@ -8,9 +8,9 @@ permutation) that lines the CPT up with that clique's axes, and the collect
 schedule with each message's shape and summed axes.  The numeric pass fills
 the tables from the CPTs, zeroes the entries that contradict the evidence
 and runs the collect.  The same structure recurs across the subsets of one
-query and across queries, so plans are kept in a bounded least-recently-used
-cache; a miss builds the plan, stores it when the scope is small enough, and
-runs the same numeric pass.
+query and across queries, so plans are kept, pickled, in a bounded
+``functools.lru_cache`` keyed by that structure as bytes; a scope too large
+for the key, or one over the table cap, is planned per call and not kept.
 
 A plan is built in one pass over integer positions.  Every scope node's
 family is read off its parent list once, as positions in the scope, and
@@ -41,14 +41,14 @@ from __future__ import annotations
 
 import math
 import pickle
-import threading
-from collections import Counter, OrderedDict, namedtuple
+from collections import Counter
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, InternalConsistencyError
+from .errors import ArgumentError, CapacityError, InternalConsistencyError
 from .graphs import moral_graph, triangulate
 from .network import CategoricalBN
 
@@ -57,8 +57,6 @@ DEFAULT_TABLE_CAP = 2**20
 # nodes; a larger scope is planned for each call and not kept
 PLAN_CACHE_SIZE = 2048
 PLAN_NODE_LIMIT = 64
-
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Plan(NamedTuple):
@@ -228,62 +226,27 @@ def _build_plan(scope: tuple, families: list, is_factor: list, cards: list, tabl
     )
 
 
-_plans = OrderedDict()  # structure key -> pickled plan, least recently used first
-_plan_counts = [0, 0]  # hits and misses since the cache was last emptied
-_plan_lock = threading.Lock()
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(key: bytes, table_cap: int) -> bytes:
+    """The pickled plan of the scope structure that ``key`` encodes, built
+    with positions as node names.
 
-
-def _plan(scope: tuple, families: list, is_factor: list, cards: list, table_cap: int) -> _Plan:
-    """The scope's plan: the cached one for its structure, or a new one,
-    which is cached when the scope has at most ``PLAN_NODE_LIMIT`` nodes.
-
-    The key is the table cap and one byte string: the scope's length, each
-    node's factor flag and cardinality, then the families' positions (each
-    family ends with its own node's position, which marks where it ends).
-    A plan is kept pickled: its bytes take about an eighth of the memory of
-    the tuples they load back into.
+    ``key`` is one byte string: the scope's length ``n``, each node's factor
+    flag and cardinality, then the families' positions, each family ending
+    with its own node's position.  A plan is kept pickled: its bytes take
+    about an eighth of the memory of the tuples they load back into.
     """
-    key = None
-    if len(scope) <= PLAN_NODE_LIMIT:
-        try:
-            key = (table_cap, bytes(chain((len(scope),), is_factor, cards, chain.from_iterable(families))))
-        except ValueError:  # a cardinality above 255 does not fit the byte string
-            pass
-    with _plan_lock:
-        blob = None if key is None else _plans.get(key)
-        if blob is None:
-            _plan_counts[1] += 1
-        else:
-            _plans.move_to_end(key)
-            _plan_counts[0] += 1
-    if blob is not None:
-        return _Plan._make(pickle.loads(blob))
-    plan = _build_plan(scope, families, is_factor, cards, table_cap)
-    if key is not None:
-        blob = pickle.dumps(tuple(plan), pickle.HIGHEST_PROTOCOL)
-        with _plan_lock:
-            _plans[key] = blob
-            if len(_plans) > PLAN_CACHE_SIZE:
-                _plans.popitem(last=False)
-    return plan
-
-
-def _plan_cache_info() -> CacheInfo:
-    """The plan cache's hits, misses, bound and size."""
-    with _plan_lock:
-        return CacheInfo(*_plan_counts, PLAN_CACHE_SIZE, len(_plans))
-
-
-def _plan_cache_clear() -> None:
-    """Empty the plan cache and reset its counts."""
-    with _plan_lock:
-        _plans.clear()
-        _plan_counts[:] = [0, 0]
-
-
-# the interface of a functools cache, so that code emptying the package's caches empties this one
-_plan.cache_info = _plan_cache_info
-_plan.cache_clear = _plan_cache_clear
+    n = key[0]
+    is_factor = key[1 : n + 1]
+    cards = list(key[n + 1 : 2 * n + 1])
+    families, family = [], []
+    for u in key[2 * n + 1 :]:
+        family.append(u)
+        if u == len(families):  # the family's own node: it ends here
+            families.append(family)
+            family = []
+    plan = _build_plan(tuple(range(n)), families, is_factor, cards, table_cap)
+    return pickle.dumps(tuple(plan), pickle.HIGHEST_PROTOCOL)
 
 
 def build_junction_tree(
@@ -305,7 +268,8 @@ def build_junction_tree(
     exceeds ``table_cap``: before the rest of the graph is eliminated and
     before any table is allocated.  Each scope node's family is read off its
     parent list once, as positions in the scope; the families key the plan
-    cache and, on a miss, give the moral graph and each CPT's placement.
+    cache and give the moral graph and each CPT's placement.  A scope the
+    cache cannot key or refuses is planned without it, in its own names.
     """
     dag = bn.dag
     if nodes is None:
@@ -333,7 +297,15 @@ def build_junction_tree(
         is_factor.append(factor)
 
     cards = [bn.cardinalities[v] for v in scope]
-    plan = _plan(scope, families, is_factor, cards, table_cap)
+    plan = None
+    if len(scope) <= PLAN_NODE_LIMIT and max(cards) < 256:
+        key = bytes(chain((len(scope),), is_factor, cards, chain.from_iterable(families)))
+        try:
+            plan = _Plan._make(pickle.loads(_plan(key, table_cap)))
+        except CapacityError:
+            pass  # refused again below, in the scope's own node names
+    if plan is None:
+        plan = _build_plan(scope, families, is_factor, cards, table_cap)
     cpts = bn.cpts
     potentials = [None] * len(plan.cliques)
     for i, k, shape, perm in plan.placements:

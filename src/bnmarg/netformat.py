@@ -67,6 +67,12 @@ _STATE_NAME = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.+-]*$")
 ROW_SUM_TOL = 1e-6
 
 
+def _valid_name(pattern: re.Pattern, name) -> bool:
+    """Whether the parser takes ``name`` where ``pattern`` applies: a string
+    that matches it whole and is not a keyword."""
+    return isinstance(name, str) and pattern.fullmatch(name) is not None and name not in KEYWORDS
+
+
 def _complete_rows(flat: np.ndarray) -> Optional[int]:
     """Rewrite each row's last entry as one minus the rest, in place.
 
@@ -129,7 +135,7 @@ def parse_network(text: str) -> CategoricalBN:
                     f"'variable' takes exactly one name, got {len(rest)}", ln, col
                 )
             _, ncol, name = rest[0]
-            if not _VAR_NAME.match(name) or name in KEYWORDS:
+            if not _valid_name(_VAR_NAME, name):
                 raise NetworkSyntaxError(f"invalid variable name {name!r}", ln, ncol)
             if name in by_name:
                 raise DuplicateVariableError(f"variable {name!r} declared twice", ln, ncol)
@@ -144,7 +150,7 @@ def parse_network(text: str) -> CategoricalBN:
             if cur.parents or cur.values:
                 raise NetworkSyntaxError("'states' must come right after 'variable'", ln, col)
             for _, scol, s in rest:
-                if not _STATE_NAME.match(s) or s in KEYWORDS:
+                if not _valid_name(_STATE_NAME, s):
                     raise NetworkSyntaxError(f"invalid state name {s!r}", ln, scol)
                 if s in cur.states:
                     raise DuplicateStateError(
@@ -165,7 +171,7 @@ def parse_network(text: str) -> CategoricalBN:
                     f"misplaced 'parents' line for {cur.name!r}", ln, col
                 )
             for _, pcol, pname in rest:
-                if not _VAR_NAME.match(pname) or pname in KEYWORDS:
+                if not _valid_name(_VAR_NAME, pname):
                     raise NetworkSyntaxError(f"invalid parent name {pname!r}", ln, pcol)
                 if pname in cur.parents:
                     raise DuplicateParentError(
@@ -259,14 +265,28 @@ def parse_network(text: str) -> CategoricalBN:
 
 
 def serialize_network(bn: CategoricalBN) -> str:
-    """Canonical text form: sorted variables, sorted parents, roundtrip floats."""
+    """Canonical text form: sorted variables, sorted parents, roundtrip floats.
+
+    Raises ArgumentError, before anything is written, for a network with a
+    variable or state name that :func:`parse_network` would not read back.
+    """
     if len(bn.node_ids) == 0:
         raise ArgumentError("cannot serialize an empty network")
+    for name in bn.node_ids:
+        if not _valid_name(_VAR_NAME, name):
+            raise ArgumentError(
+                f"variable name {name!r} cannot be written: the network format does not accept it"
+            )
+        for s in bn.state_names[name]:
+            if not _valid_name(_STATE_NAME, s):
+                raise ArgumentError(
+                    f"state name {s!r} of {name!r} cannot be written: the network format does not accept it"
+                )
     out = io.StringIO()
-    for name in sorted(map(str, bn.node_ids)):
+    for name in sorted(bn.node_ids):
         card = bn.cardinalities[name]
         canon = bn.dag.parents(name)
-        parents = sorted(map(str, canon))
+        parents = sorted(canon)
         table = bn.cpts[name]
         if tuple(parents) != canon:
             shaped = table.reshape([bn.cardinalities[p] for p in canon] + [card])

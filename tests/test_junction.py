@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -332,7 +335,8 @@ def test_exact_solver_matches_reference_bit_for_bit():
 def test_plan_cache_is_bounded():
     # more distinct keys than the cache holds (the cap is part of the key)
     # leave it full, without the least recently used; a scope over the node
-    # limit is solved like any other and never stored
+    # limit, or with a node of 256 states or more, is solved like any other
+    # and bypasses the cache: no hit, no miss, nothing stored
     bn = CategoricalBN(Dag(("a",), []), {"a": 2}, {"a": np.array([[0.25, 0.75]])})
     caps = range(2, PLAN_CACHE_SIZE + 12)
     _plan.cache_clear()
@@ -351,4 +355,68 @@ def test_plan_cache_is_bounded():
     _plan.cache_clear()
     for _ in range(2):
         assert repr(log_tree_sum(incorporate_evidence(build_junction_tree(big), e))) == want
-    assert _plan.cache_info() == (0, 2, PLAN_CACHE_SIZE, 0)
+    assert _plan.cache_info() == (0, 0, PLAN_CACHE_SIZE, 0)
+
+    dag = Dag(("a", "b", "c"), [("a", "b"), ("a", "c"), ("b", "c")])
+    wide = CategoricalBN(
+        dag,
+        {"a": 300, "b": 3, "c": 2},
+        {"a": rng.dirichlet(np.ones(300))[None], "b": rng.dirichlet(np.ones(3), 300), "c": rng.dirichlet(np.ones(2), 900)},
+    )
+    e = {"c": 1}
+    want = log_enumerate_marginal(wide, e)
+    build_junction_tree(bn, table_cap=2)  # one stored plan, which the wide scope must leave alone
+    before = _plan.cache_info()
+    for _ in range(2):
+        got = log_tree_sum(incorporate_evidence(build_junction_tree(wide), e))
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+    assert _plan.cache_info() == before == (0, 1, PLAN_CACHE_SIZE, 1)
+
+
+def test_plan_cache_is_shared_safely_across_threads():
+    # four threads solve one corpus of subset scopes at once, each in its own
+    # order, on a shared, emptied cache: every log is the one a single thread
+    # gives, every call counts once as a hit or a miss, and the cache ends up
+    # holding the plans a single thread stores
+    rng = np.random.default_rng(67)
+    corpus = []
+    for trial in range(60):
+        n = int(rng.integers(30, 61))
+        bn = reordered(rng, rand_bn(rng, n, 1.6 / (n - 1)))
+        e = rand_evidence(rng, bn, n // 3)
+        dec = decompose(bn, e)
+        rel = relevant_subgraph(bn, e)
+        for sub, b in zip(dec.subsets, dec.boundaries):
+            corpus.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch), {v: e[v] for v in b.e_mb}))
+    assert len(corpus) > 200 and max(len(scope) for _, scope, _, _ in corpus) <= PLAN_NODE_LIMIT
+
+    def solve(order):
+        return {
+            k: repr(log_tree_sum(incorporate_evidence(build_junction_tree(*corpus[k][:3]), corpus[k][3])))
+            for k in order
+        }
+
+    _plan.cache_clear()
+    want = solve(range(len(corpus)))
+    stored = _plan.cache_info().currsize
+    assert 0 < stored < len(corpus)  # structures recur: the threads share plans
+
+    orders = [rng.permutation(len(corpus)) for _ in range(4)]
+    start = threading.Barrier(len(orders))
+
+    def run(order):
+        start.wait()
+        return solve(order)
+
+    _plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside calls as well as between them
+    try:
+        with ThreadPoolExecutor(len(orders)) as pool:
+            got = list(pool.map(run, orders))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(logs == want for logs in got)
+    info = _plan.cache_info()
+    assert info.hits + info.misses == len(orders) * len(corpus), info
+    assert info.currsize == stored <= PLAN_CACHE_SIZE, info

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bnmarg.errors import (
+    ArgumentError,
     CptLengthError,
     CptRowSumError,
     CptValueError,
@@ -18,6 +19,7 @@ from bnmarg.errors import (
     StateCountError,
     UnresolvedParentError,
 )
+from bnmarg.graphs import Dag
 from bnmarg.netformat import (
     _tokenized_lines,
     parse_dataset,
@@ -25,6 +27,8 @@ from bnmarg.netformat import (
     serialize_dataset,
     serialize_network,
 )
+
+from bnmarg.network import CategoricalBN
 
 from conftest import brute_marginal, rand_bn
 
@@ -147,6 +151,40 @@ def test_serialization_sorts_variables_and_parents():
                 assert brute_marginal(again, {"Wet": wet, "Rain": r, "Sprinkler": s}) == (
                     pytest.approx(brute_marginal(bn, {"Wet": wet, "Rain": r, "Sprinkler": s}), rel=1e-12)
                 )
+
+
+def _two_node(a, b, states=None):
+    return CategoricalBN(
+        Dag((a, b), [(a, b)]),
+        {a: 2, b: 2},
+        {a: np.array([[0.25, 0.75]]), b: np.array([[0.5, 0.5], [0.125, 0.875]])},
+        states,
+    )
+
+
+def test_serialization_refuses_names_the_parser_rejects():
+    # each of these would write a file that parse_network refuses or reads
+    # differently; the refusal comes before any text is produced
+    refused = [
+        _two_node(1, 2),  # not strings
+        _two_node("A", ("B", 0)),
+        _two_node("my var", "B"),
+        _two_node("A", "cpt"),  # a keyword
+        _two_node("A", "B\n"),  # the pattern's $ alone would let a trailing newline through
+        _two_node("2A", "B"),
+        _two_node("A", "B", {"A": ("a b", "c")}),  # would come back as three states
+        _two_node("A", "B", {"B": ("x", "states")}),
+        _two_node("A", "B", {"B": ("x", "y#z")}),
+        _two_node("A", "B", {"A": ("", "c")}),
+    ]
+    for bn in refused:
+        with pytest.raises(ArgumentError, match="cannot be written"):
+            serialize_network(bn)
+    # the names both patterns allow round-trip
+    bn = _two_node("a.b+c-d_1", "_B", {"a.b+c-d_1": ("0", "x.y+z-w"), "_B": ("_", "9")})
+    text = serialize_network(bn)
+    assert serialize_network(parse_network(text)) == text
+    assert parse_network(text).state_names == bn.state_names
 
 
 def _expect(text, exc):
