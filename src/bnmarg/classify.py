@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from scipy.special import logsumexp
-
 from .engine import SgsConfig, marginal_sgs
 from .errors import ClassificationError, DomainError
 from .network import CategoricalBN, log_joint_probability
@@ -79,6 +77,8 @@ def _resolve_evidence(record: PartialRecord, bn: CategoricalBN, model_name: str)
 
 
 def _posteriors(scores: Sequence[ModelScore]) -> ClassificationResult:
+    from scipy.special import logsumexp  # imported here: it is most of the package's import time
+
     logs = [s.log_likelihood for s in scores]
     norm = float(logsumexp(logs))
     if math.isinf(norm):

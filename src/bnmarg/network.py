@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ArgumentError,
@@ -158,12 +157,23 @@ class CategoricalBN:
                 f"cannot restrict: node {v!r} loses parents "
                 f"{[p for p in self.dag.parents(v) if p not in keep]}"
             )
-        net = CategoricalBN.__new__(CategoricalBN)  # trusted: skips __init__'s checks and copies
-        net.dag = sub
         ids, cards, cpts, names = sub.node_ids, self.cardinalities, self.cpts, self.state_names
-        net.cardinalities = {v: cards[v] for v in ids}
-        net.cpts = {v: cpts[v] for v in ids}
-        net.state_names = {v: names[v] for v in ids}
+        return CategoricalBN._trusted(
+            sub, {v: cards[v] for v in ids}, {v: cpts[v] for v in ids}, {v: names[v] for v in ids}
+        )
+
+    @classmethod
+    def _trusted(cls, dag: Dag, cardinalities: dict, cpts: dict, state_names: dict) -> "CategoricalBN":
+        """A network from parts its caller has already checked, without
+        ``__init__``'s checks and copies.  Each dict must be keyed by
+        ``dag.node_ids`` in that order, with int cardinalities, read-only
+        C-contiguous float CPT arrays of the right shapes and tuples of
+        string state names."""
+        net = cls.__new__(cls)
+        net.dag = dag
+        net.cardinalities = cardinalities
+        net.cpts = cpts
+        net.state_names = state_names
         return net
 
 
@@ -273,6 +283,8 @@ def log_enumerate_marginal(
     states = dict(e)
     for v in free:
         states[v] = (idx // strides[v]) % bn.cardinalities[v]
+
+    from scipy.special import logsumexp  # imported here: it is most of the package's import time
 
     logp = np.zeros(n_cfg, dtype=float)
     for v in bn.node_ids:

@@ -1,6 +1,8 @@
 """The package's public surface: ``__all__`` and README's library section."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bnmarg
@@ -52,3 +54,12 @@ def test_readme_family_aliases_are_accepted():
     assert len(names) == len(FAMILIES) + len(FAMILY_ALIASES)
     for name in names:
         assert GenSpec(family=name, n=12, mb_size=2.0).family in FAMILIES
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is most of the package's import time; the two functions
+    # that call logsumexp import it when they first run
+    code = "import sys, bnmarg; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
