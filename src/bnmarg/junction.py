@@ -22,7 +22,9 @@ once the graph left is complete it is taken whole, so a complete moral graph
 (one clique: about half the subsets of a sparse query) needs no elimination
 step at all.  The cliques are then joined by a maximum-sepset-weight spanning
 tree, and every requested CPT goes to the smallest clique containing its
-family.  In the numeric pass each CPT is reshaped straight into that clique's
+family; only the cliques that hold the family's own node are searched, so
+placement takes time linear in the total clique size, not quadratic in the
+scope.  In the numeric pass each CPT is reshaped straight into that clique's
 axis order and multiplied in, table entries that contradict the observed
 evidence are zeroed (one zero table and one copy per clique that holds
 evidence), and one collect pass of sum-product messages runs to a root whose
@@ -192,14 +194,19 @@ def _build_plan(scope: tuple, families: list, is_factor: list, cards: list, tabl
     place every requested CPT; see :class:`_Plan`."""
     cliques = triangulate(scope, moral_graph(families), cards, table_cap).cliques
     clique_sets = [set(c) for c in cliques]
+    holders = [[] for _ in scope]  # the cliques holding each position, ascending
+    for c, clique in enumerate(cliques):
+        for u in clique:
+            holders[u].append(c)
     edges = tuple(_spanning_tree(cliques))
     placements = []
     for i, family in enumerate(families):
         if not is_factor[i]:
             continue
-        k = -1  # the smallest clique covering the family; ties fall to the
-        # first, which is the canonically smallest content
-        for c, members in enumerate(clique_sets):
+        k = -1  # the smallest clique covering the family, which holds i;
+        # ties fall to the first, which is the canonically smallest content
+        for c in holders[i]:
+            members = clique_sets[c]
             if (k < 0 or len(members) < len(clique_sets[k])) and members.issuperset(family):
                 k = c
         if k < 0:

@@ -410,9 +410,9 @@ def serialize_network(bn: CategoricalBN) -> str:
     :func:`parse_network` would not read back as it is: ArgumentError for a
     variable or state name the format does not accept, CptValueError for a
     CPT entry outside [0, 1] (NaN included), CptRowSumError for a row whose
-    sum is off one by more than ``ROW_SUM_TOL``, and ArgumentError for a row
-    whose leading entries exceed one.  The CPT errors name the variable and
-    the row as written; their line and column are 0, as there is no text.
+    sum is off one by more than ``ROW_SUM_TOL`` or whose leading entries
+    exceed one.  The CPT errors name the variable and the row as written;
+    their line and column are 0, as there is no text.
     """
     if len(bn.node_ids) == 0:
         raise ArgumentError("cannot serialize an empty network")
@@ -459,9 +459,10 @@ def serialize_network(bn: CategoricalBN) -> str:
         )
     hit = _first_refusal(stacks.values(), _complete_rows)
     if hit is not None:
-        raise ArgumentError(
-            f"CPT of {names[hit[0]]!r} has a row whose leading entries exceed one; "
-            "it cannot be rendered as an exact distribution"
+        k, r, _ = hit
+        raise CptRowSumError(
+            f"CPT row {r} of {names[k]!r} cannot be completed to an exact distribution: its "
+            "leading entries already exceed one; the network format does not accept it"
         )
 
     lines = {}  # cardinality -> the cpt line of each row of its stack

@@ -12,7 +12,8 @@ looks rows up for one assignment or a vector of them.  Two other readers view
 a CPT with one axis per family member, moving the node's own axis to its
 canonical slot when a parent follows it: ``junction.build_junction_tree``,
 which reshapes each CPT straight into its clique's axis order, and
-``sampling.clamp_factors``, in its loop over every factor node.
+``sampling.clamp_factors``, which gathers from every factor's flattened CPT
+with per-member strides.
 
 All probability accumulation happens in log space; sums of probabilities go
 through a stable log-sum-exp reduction.
@@ -51,7 +52,9 @@ class CategoricalBN:
     """A categorical Bayesian network.
 
     Construction enforces the structural contract (cardinalities >= 2, CPT
-    array shapes matching parent configurations); numeric defects such as
+    array shapes matching parent configurations) and stores each CPT as a
+    read-only C-contiguous float copy, whatever the layout of the array it
+    was given; numeric defects such as
     rows that do not sum to one are left for :func:`validate` to report, so
     that deliberately broken tables can be inspected.
 
@@ -84,7 +87,7 @@ class CategoricalBN:
         for v in dag.node_ids:
             if v not in cpts:
                 raise ArgumentError(f"missing CPT for node {v!r}")
-            t = np.array(cpts[v], dtype=float)
+            t = np.array(cpts[v], dtype=float, order="C")
             rows = 1
             for p in dag.parents(v):
                 rows *= cards[p]

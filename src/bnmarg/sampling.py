@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, InvalidAssignmentError
 from .network import CategoricalBN, sample_forward_array
 
 
@@ -225,6 +226,9 @@ class ClampedFactors:
         return log_weights
 
 
+_FREE = np.iinfo(np.intp).min  # the state clamp_factors reads for a node not observed
+
+
 def clamp_factors(
     bn: CategoricalBN,
     evidence: Mapping,
@@ -236,57 +240,123 @@ def clamp_factors(
     scope ``nodes`` (default: the whole network).
 
     Refuses factor nodes outside the scope, a factor whose family reaches
-    outside it, and a scope with no free node.
+    outside it, a scope with no free node, a negative observed state in
+    the scope and an out-of-range one in a factor's family.
+
+    The Python work per factor is reading its parent tuple and its CPT;
+    the rest are array operations over all factors at once.  A matrix with
+    a row of scope positions per family gives each member's stride in its
+    CPT and each table's offset, evidence included, into the factors'
+    concatenated CPT entries.  A shape group's stack is then one gather
+    from those entries, C-contiguous like ``np.stack`` over the tables'
+    views.  The exception is a table whose node follows one of its free
+    parents in the CPT but precedes it in node order: its view, with the
+    node's axis moved into place, is not C-ordered, so a group holding one
+    is stacked from the views.  A stack's memory layout sets the order of
+    loopy BP's sums, so it stays as it was.
     """
     dag = bn.dag
-    scope = set(dag.node_ids) if nodes is None else set(nodes)
-    dag.check_nodes(scope)
-    factors_of = scope if factor_nodes is None else set(factor_nodes)
-    if not factors_of <= scope:
-        raise ArgumentError("factor_nodes must lie inside the scope")
-    free = [v for v in dag.node_ids if v in scope and v not in evidence]
+    index, parents, cards, cpts = dag._index, dag._parents, bn.cardinalities, bn.cpts
+    if nodes is None:
+        scope, at = dag.node_ids, index
+    else:
+        scope = set(nodes)
+        dag.check_nodes(scope)
+        scope = sorted(scope, key=index.__getitem__)
+        at = dict(zip(scope, range(len(scope))))
+    if factor_nodes is None:
+        order = scope
+    else:
+        order = set(factor_nodes)
+        if not all(map(at.__contains__, order)):
+            raise ArgumentError("factor_nodes must lie inside the scope")
+        order = sorted(order, key=index.__getitem__)
+
+    # per scope position, and for padding (position -1, one past the end):
+    # the cardinality, and the observed state or _FREE
+    n = len(scope)
+    s_card = np.fromiter(chain(map(cards.__getitem__, scope), (1,)), np.intp, n + 1)
+    s_state = np.fromiter(chain(map(evidence.get, scope, repeat(_FREE)), (0,)), np.intp, n + 1)
+    s_free = s_state == _FREE
+    free = list(compress(scope, s_free.tolist()))
     if not free:
         raise ArgumentError("no free nodes to form a proposal over")
+    if (s_state < 0).sum() > len(free):
+        u = scope[((s_state < 0) & ~s_free).argmax()]
+        raise InvalidAssignmentError(f"state {evidence[u]} out of range for {u!r}")
 
-    index, parents, cards, cpts = dag._index, dag._parents, bn.cardinalities, bn.cpts
-    var_of = {v: i for i, v in enumerate(free)}
-    everything = slice(None)
-    state = {u: int(s) for u, s in evidence.items()}.get
-    edge_var = []  # variable of each edge; a factor's edges are contiguous
-    shapes = {}  # table shape -> ([table], [edge ids by position], [row])
-    for row, v in enumerate(sorted(factors_of, key=index.__getitem__)):
-        ps = parents[v]
-        if not scope.issuperset(ps):
-            raise ArgumentError(f"family of factor node {v!r} reaches outside the scope")
-        family = ps + (v,)
-        key = tuple([state(u, everything) for u in family])
-        fvars = [u for u, k in zip(family, key) if k is everything]
-        table = cpts[v].reshape([cards[u] for u in family])[key]
-        if key[-1] is everything and len(fvars) > 1 and index[fvars[-2]] > index[v]:
-            # v's axis is last in the CPT; in node order it follows the free
-            # parents that precede it
-            at = len(fvars) - 1
-            while at and index[fvars[at - 1]] > index[v]:
-                at -= 1
-            table = np.moveaxis(table, -1, at)
-            fvars.insert(at, fvars.pop())
-        group = shapes.get(table.shape)
-        if group is None:
-            group = shapes[table.shape] = ([], [], [])
-        group[0].append(table)
-        group[1].append(range(len(edge_var), len(edge_var) + len(fvars)))
-        group[2].append(row)
-        edge_var += [var_of[u] for u in fvars]
-    groups = tuple(
-        (np.stack(t), np.array(e, dtype=np.intp), np.array(r, dtype=np.intp))
-        for t, e, r in shapes.values()
-    )
+    # a row per factor: its family's scope positions, parents then the node
+    # itself, right-aligned; row f's parents end at flat index (f+1)*width-2
+    k = len(order)
+    families = list(map(parents.__getitem__, order))
+    n_par = np.fromiter(map(len, families), np.intp, k)
+    at_par = np.fromiter(map(at.get, chain.from_iterable(families), repeat(-1)), np.intp, int(n_par.sum()))
+    if (at_par < 0).any():
+        f = np.searchsorted(n_par.cumsum(), (at_par < 0).argmax(), side="right")
+        raise ArgumentError(f"family of factor node {order[f]!r} reaches outside the scope")
+    width = int(n_par.max(initial=0)) + 1
+    pos = np.full((k, width), -1, dtype=np.intp)
+    pos[:, -1] = np.arange(k) if order is scope else np.fromiter(map(at.__getitem__, order), np.intp, k)
+    row_ends = np.arange(1, k + 1) * width - 1 - n_par.cumsum()
+    pos.reshape(-1)[np.arange(len(at_par)) + row_ends.repeat(n_par)] = at_par
+    card, obs, is_free = s_card[pos], s_state[pos], s_free[pos]
+    if (obs >= card).any():
+        u = scope[pos[obs >= card][0]]
+        raise InvalidAssignmentError(f"state {evidence[u]} out of range for {u!r} (cardinality {cards[u]})")
+
+    # each member's stride in its CPT, and each table's offset into the
+    # concatenated CPTs: its CPT's, plus the observed members' terms; every
+    # CPT is a C-contiguous float array, so their bytes join into one
+    span = card[:, ::-1].cumprod(axis=1)[:, ::-1]  # a member's stride times its cardinality
+    stride = span // card
+    base = span[:, 0].cumsum() - span[:, 0] + (np.maximum(obs, 0) * stride).sum(axis=1)
+    flat = np.frombuffer(b"".join(map(cpts.__getitem__, order)), dtype=float)
+
+    # the edges: each row's free members, in node order, row after row; a
+    # node's own axis moves before the free parents that follow it
+    r, c = np.nonzero(is_free)
+    moved = is_free[:, -1] & (is_free[:, :-1] & (pos[:, :-1] > pos[:, -1:])).any(axis=1)
+    if moved.any():
+        o = np.argsort(r * (n + 1) + pos[r, c], kind="stable")
+        r, c = r[o], c[o]
+    edge_var = (s_free.cumsum() - 1)[pos[r, c]]
+    edge_stride = stride[r, c]
+    degree = np.bincount(r, minlength=k)
+    edge_start = degree.cumsum() - degree
+    shape = np.zeros((k, width), dtype=np.intp)  # each table's shape, zero-padded
+    shape[r, np.arange(len(r)) - edge_start[r]] = card[r, c]
+
+    # factors grouped by table shape; a stable sort keeps each group's
+    # factors in node order, and groups go in order of their first factor
+    o = np.lexsort(shape.T)
+    new = np.ones(k, dtype=bool)
+    new[1:] = (shape[o[1:]] != shape[o[:-1]]).any(axis=1)
+    starts = np.flatnonzero(new)
+    ends = [*starts[1:].tolist(), k]
+    heads = o[starts]  # each group's first factor
+    any_moved = np.logical_or.reduceat(moved[o], starts).tolist()
+    groups = []
+    for g in heads.argsort().tolist():
+        rows = o[starts[g] : ends[g]]
+        dims = tuple(shape[heads[g], : degree[heads[g]]].tolist())
+        edges = edge_start[rows, None] + np.arange(len(dims))
+        strides = edge_stride[edges]
+        if any_moved[g]:
+            item = flat.itemsize
+            tables = np.stack([
+                np.ndarray(dims, flat.dtype, flat, b * item, s)
+                for b, s in zip(base[rows].tolist(), (strides * item).tolist())
+            ])
+        else:  # the entry at index i of a table: its offset plus i . strides
+            grid = np.indices(dims).reshape(len(dims), math.prod(dims))
+            tables = flat[(base[rows, None] + strides @ grid).reshape(-1, *dims)]
+        groups.append((tables, edges, rows))
     return ClampedFactors(
         free=tuple(free),
-        cards=np.array([cards[v] for v in free]),
-        edge_var=np.array(edge_var, dtype=np.intp),
-        groups=groups,
-        size=len(factors_of),
+        cards=s_card[:-1][s_free[:-1]],
+        edge_var=edge_var,
+        groups=tuple(groups),
+        size=k,
     )
 
 

@@ -256,6 +256,32 @@ def test_spanning_tree_matches_reference_kruskal():
         assert _spanning_tree(cliques) == reference_spanning_tree(cliques)
 
 
+def test_cpt_placement_matches_a_scan_of_every_clique():
+    # each CPT goes to the smallest clique covering its family, the first
+    # among equals; placement searches only the cliques that hold the
+    # family's own node, and on whole networks of 1,500 nodes must choose
+    # what a scan of every clique chooses
+    rng = np.random.default_rng(44)
+    for trial in range(2):
+        n = 1500
+        bn = rand_bn(rng, n, 1.2 / (n - 1), cards=(2, 3))
+        if trial:  # parents may follow their children in node order
+            bn = reordered(rng, bn)
+        factors = [v for v in bn.node_ids if rng.random() < 0.8]
+        plan = build_junction_tree(bn, factor_nodes=factors).plan
+        at = {v: i for i, v in enumerate(bn.node_ids)}
+        cliques = [set(c) for c in plan.cliques]
+        assert len(cliques) > n // 2
+        assert [i for i, *_ in plan.placements] == sorted(map(at.__getitem__, factors))
+        ties = 0  # families with more than one smallest covering clique
+        for i, k, _, _ in plan.placements:
+            family = {at[p] for p in bn.dag.parents(bn.node_ids[i])} | {i}
+            covering = [c for c, members in enumerate(cliques) if members >= family]
+            assert k == min(covering, key=lambda c: (len(cliques[c]), c))
+            ties += sum(len(cliques[c]) == len(cliques[k]) for c in covering) > 1
+        assert ties > 50, ties
+
+
 def test_exact_solver_matches_reference_bit_for_bit():
     # the tables, the clique tree and the log value from every root equal
     # the plain route's bit for bit, on the whole network, on every subset

@@ -205,11 +205,13 @@ def test_serialization_refuses_rows_the_parser_rejects():
         ([-0.5, 1.5], CptValueError),
         ([np.nan, np.nan], CptValueError),
         ([0.3, 0.3], CptRowSumError),
+        ([0.6, 0.4000004, 0.0], CptRowSumError),  # sums to one within the tolerance, cannot be completed
     ):
-        one = CategoricalBN(Dag(("A",)), {"A": 2}, {"A": np.array([row])})
+        one = CategoricalBN(Dag(("A",)), {"A": len(row)}, {"A": np.array([row])})
         with pytest.raises(exc, match="does not accept"):
             serialize_network(one)
-        _expect("variable A\n states x y\n cpt " + " ".join(map(repr, row)) + "\n", exc)
+        states = " ".join("xyz"[: len(row)])
+        _expect(f"variable A\n states {states}\n cpt " + " ".join(map(repr, row)) + "\n", exc)
     # rows are counted as written: B's parents sorted, (A, C) not (C, A)
     bn = CategoricalBN(
         Dag(("C", "A", "B"), [("C", "B"), ("A", "B")]),

@@ -9,10 +9,11 @@ import pytest
 from bnmarg import sampling
 from bnmarg.decompose import decompose, relevant_subgraph
 from bnmarg.engine import SgsConfig, marginal
-from bnmarg.errors import ArgumentError
+from bnmarg.errors import ArgumentError, InvalidAssignmentError
 from bnmarg.graphs import Dag
 from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability
 from bnmarg.sampling import (
+    ClampedFactors,
     ImportanceDistribution,
     SamplerConfig,
     _is_summary,
@@ -529,6 +530,123 @@ def test_clamp_factors_refusals():
     partial = ImportanceDistribution(nodes=("b",), probs=np.array([[0.5, 0.5]]))
     with pytest.raises(ArgumentError, match="does not cover"):
         importance_estimate(clamped, partial, np.random.default_rng(0), 5)
+
+
+def reference_clamp_factors(bn, evidence, nodes=None, factor_nodes=None):
+    """``clamp_factors`` as it was before its tables were gathered from
+    index arrays: one view of each CPT, its axes moved into node order, and
+    ``np.stack`` over the views of each table shape."""
+    dag = bn.dag
+    scope = set(dag.node_ids) if nodes is None else set(nodes)
+    dag.check_nodes(scope)
+    factors_of = scope if factor_nodes is None else set(factor_nodes)
+    if not factors_of <= scope:
+        raise ArgumentError("factor_nodes must lie inside the scope")
+    free = [v for v in dag.node_ids if v in scope and v not in evidence]
+    if not free:
+        raise ArgumentError("no free nodes to form a proposal over")
+
+    index, parents, cards, cpts = dag._index, dag._parents, bn.cardinalities, bn.cpts
+    var_of = {v: i for i, v in enumerate(free)}
+    everything = slice(None)
+    state = {u: int(s) for u, s in evidence.items()}.get
+    edge_var = []  # variable of each edge; a factor's edges are contiguous
+    shapes = {}  # table shape -> ([table], [edge ids by position], [row])
+    for row, v in enumerate(sorted(factors_of, key=index.__getitem__)):
+        ps = parents[v]
+        if not scope.issuperset(ps):
+            raise ArgumentError(f"family of factor node {v!r} reaches outside the scope")
+        family = ps + (v,)
+        key = tuple([state(u, everything) for u in family])
+        fvars = [u for u, k in zip(family, key) if k is everything]
+        table = cpts[v].reshape([cards[u] for u in family])[key]
+        if key[-1] is everything and len(fvars) > 1 and index[fvars[-2]] > index[v]:
+            # v's axis is last in the CPT; in node order it follows the free
+            # parents that precede it
+            at = len(fvars) - 1
+            while at and index[fvars[at - 1]] > index[v]:
+                at -= 1
+            table = np.moveaxis(table, -1, at)
+            fvars.insert(at, fvars.pop())
+        group = shapes.get(table.shape)
+        if group is None:
+            group = shapes[table.shape] = ([], [], [])
+        group[0].append(table)
+        group[1].append(range(len(edge_var), len(edge_var) + len(fvars)))
+        group[2].append(row)
+        edge_var += [var_of[u] for u in fvars]
+    groups = tuple(
+        (np.stack(t), np.array(e, dtype=np.intp), np.array(r, dtype=np.intp))
+        for t, e, r in shapes.values()
+    )
+    return ClampedFactors(
+        free=tuple(free),
+        cards=np.array([cards[v] for v in free]),
+        edge_var=np.array(edge_var, dtype=np.intp),
+        groups=groups,
+        size=len(factors_of),
+    )
+
+
+def _same_array(a, b):
+    return (a.shape, a.strides, a.dtype, a.tobytes()) == (b.shape, b.strides, b.dtype, b.tobytes())
+
+
+def test_clamp_factors_matches_reference_byte_for_byte():
+    # loopy BP's sums follow a stack's memory layout, so strides must match too
+    rng = np.random.default_rng(4242)
+    seen = dict.fromkeys(("moved", "constant", "outside", "subset"), 0)
+    checked = 0
+    for trial in range(200):
+        n = int(rng.integers(3, 14))
+        bn = sparse_bn(rng, n) if trial % 3 else rand_bn(rng, n, 0.4, cards=(2, 3, 4, 5))
+        if trial % 2:  # parents may follow their children in node order
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(0, n)))
+        cases = list(_bp_scopes(bn, e))
+        # the whole network as scope with a random factor subset, and each
+        # subset scope with evidence that names nodes outside it
+        cases.append((bn, e, None, [v for v in bn.node_ids if rng.random() < 0.5]))
+        cases += [(net, e, nodes, factors) for net, _, nodes, factors in cases[1:-1]]
+        for net, ev, nodes, factors in cases:
+            if all(v in ev for v in (nodes or net.node_ids)):
+                continue
+            got = clamp_factors(net, ev, nodes, factors)
+            want = reference_clamp_factors(net, ev, nodes, factors)
+            assert (got.free, got.size) == (want.free, want.size)
+            assert _same_array(got.cards, want.cards) and _same_array(got.edge_var, want.edge_var)
+            assert len(got.groups) == len(want.groups)
+            for g, w in zip(got.groups, want.groups):
+                assert all(_same_array(a, b) for a, b in zip(g, w))
+                seen["constant"] += g[0].ndim == 1
+                seen["moved"] += not g[0].flags.c_contiguous
+            seen["outside"] += nodes is not None and not set(ev) <= set(nodes)
+            seen["subset"] += factors is not None and set(factors) != set(nodes or net.node_ids)
+            checked += 1
+    assert checked > 600 and min(seen.values()) > 60, (checked, seen)
+
+
+def test_clamp_factors_refuses_states_out_of_range():
+    # a table's offset is computed, not indexed, so a state past its node's
+    # cardinality would read another row: it is refused, as is a negative one
+    dag = Dag(("a", "b", "c"), [("a", "c"), ("b", "c")])
+    c = np.array([[0.5, 0.5], [0.6, 0.4], [0.1, 0.9], [0.7, 0.3]])
+    cpts = {"a": [[0.3, 0.7]], "b": [[0.9, 0.1]], "c": c}
+    bn = CategoricalBN(dag, dict.fromkeys("abc", 2), cpts)
+    with pytest.raises(InvalidAssignmentError, match=r"state 2 out of range for 'b' \(cardinality 2\)"):
+        clamp_factors(bn, {"b": 2})
+    with pytest.raises(InvalidAssignmentError, match="state -1 out of range for 'a'"):
+        clamp_factors(bn, {"a": -1})
+    # evidence outside the scope is not read; no factor gives no group
+    assert clamp_factors(bn, {"c": 5}, nodes=("a", "b")).free == ("a", "b")
+    empty = clamp_factors(bn, {}, factor_nodes=())
+    assert (empty.size, empty.groups, empty.edge_var.shape) == (0, (), (0,))
+    # a CPT given in Fortran order is stored in C order, so it clamps alike
+    fortran = CategoricalBN(dag, dict.fromkeys("abc", 2), {**cpts, "c": np.asfortranarray(c)})
+    assert fortran.cpts["c"].flags.c_contiguous
+    for ev in ({}, {"a": 1}, {"c": 0}):
+        got, want = clamp_factors(fortran, ev), reference_clamp_factors(bn, ev)
+        assert all(_same_array(x, y) for g, w in zip(got.groups, want.groups) for x, y in zip(g, w))
 
 
 def test_stacked_log_tables_equal_each_tables_log():
