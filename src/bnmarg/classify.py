@@ -162,12 +162,14 @@ def roc_auc(scores: Iterable[float], labels: Iterable) -> RocResult:
 
     The curve sweeps distinct score thresholds from high to low; tied scores
     move as one group, producing the diagonal segments whose trapezoids
-    realize the usual tie-corrected area.  Needs both classes present.
+    realize the usual tie-corrected area.  Needs both classes, and no NaN.
     """
     sc = [float(s) for s in scores]
     lb = [bool(l) for l in labels]
     if len(sc) != len(lb):
         raise DomainError("scores and labels differ in length")
+    if any(map(math.isnan, sc)):
+        raise DomainError("scores must not be NaN")
     pos = sum(lb)
     neg = len(lb) - pos
     if pos == 0 or neg == 0:

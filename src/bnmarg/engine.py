@@ -23,7 +23,9 @@ import numpy as np
 from .decompose import decompose, relevant_subgraph
 from .errors import ArgumentError, CapacityError, InternalConsistencyError
 from .junction import DEFAULT_TABLE_CAP, build_junction_tree, incorporate_evidence, log_tree_sum
-from .network import CategoricalBN, derive_seed, log_cpt_product, log_enumerate_marginal, validate_evidence
+from .network import (
+    CategoricalBN, derive_seed, log_cpt_product, log_enumerate_marginal, require_integers, validate_evidence
+)
 from .sampling import SamplerConfig, clamp_factors, gibbs_proposal, importance_estimate, loopy_bp
 
 METHODS = ("sgs", "jt", "lbp-is", "gs", "enum")
@@ -64,6 +66,7 @@ class SgsConfig:
     table_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
+        require_integers(self, ("n_max", "table_cap"), ArgumentError)
         if self.n_max < 0:
             raise ArgumentError("n_max must be >= 0")
         if self.table_cap < 2:

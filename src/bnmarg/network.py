@@ -212,6 +212,16 @@ def _check_full_assignment(bn: CategoricalBN, x: Mapping) -> None:
     validate_evidence(bn, x)
 
 
+def require_integers(obj, names: Iterable[str], error: type) -> None:
+    """Raise ``error`` unless each attribute of ``obj`` named in ``names`` is
+    an ``int`` or NumPy integer, as :func:`validate_evidence` asks of a
+    state: a bool or a float, integral or not, is refused."""
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def validate_evidence(bn: CategoricalBN, e: Mapping) -> None:
     """Raise InvalidAssignmentError unless e maps known nodes to valid states."""
     for v, s in e.items():

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
 from .graphs import Dag
-from .network import CategoricalBN, derive_seed, sample_forward_array
+from .network import CategoricalBN, derive_seed, require_integers, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
 FAMILY_ALIASES = {
@@ -76,6 +76,7 @@ class GenSpec:
             raise ParameterError(
                 f"unknown family {self.family!r}, expected one of {FAMILIES}"
             )
+        require_integers(self, ("n", "categories", "seed", "islands"), ParameterError)
         if self.n < 2:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not (self.mb_size > 0.0):

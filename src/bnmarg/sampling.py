@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ArgumentError, InvalidAssignmentError
-from .network import CategoricalBN, sample_forward_array
+from .network import CategoricalBN, require_integers, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class SamplerConfig:
     belief_floor: float = 1e-6
 
     def __post_init__(self):
+        require_integers(self, ("sample_count", "lbp_iterations", "seed"), ArgumentError)
         if self.sample_count < 1:
             raise ArgumentError("sample_count must be >= 1")
         if self.lbp_iterations < 1:
@@ -48,7 +49,7 @@ class SamplerConfig:
             raise ArgumentError("lbp_tolerance must be positive")
         if not 0 < self.belief_floor < 0.1:
             raise ArgumentError("belief_floor must lie in (0, 0.1)")
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise ArgumentError("seed must be a non-negative integer")
 
 
@@ -171,9 +172,10 @@ class ClampedFactors:
 
     ``free`` holds the free nodes of the scope in node order, ``cards`` their
     cardinalities.  Each group is ``(tables, edges, rows)``:
-    - the clamped tables of one shape, stacked; a table's axes are its
-      factor's free family members in node order, and a factor whose family
-      is all observed is a constant of shape ``()``;
+    - the clamped tables of one shape, stacked in one C-contiguous array,
+      the layout that sets the order of loopy BP's sums; a table's axes are
+      its factor's free family members in node order, and a factor whose
+      family is all observed is a constant of shape ``()``;
     - the ``(k, ndim)`` ids of those (factor, variable) edges, numbered
       factor by factor in node order; ``edge_var[e]`` is edge e's index
       into ``free``;
@@ -248,12 +250,8 @@ def clamp_factors(
     a row of scope positions per family gives each member's stride in its
     CPT and each table's offset, evidence included, into the factors'
     concatenated CPT entries.  A shape group's stack is then one gather
-    from those entries, C-contiguous like ``np.stack`` over the tables'
-    views.  The exception is a table whose node follows one of its free
-    parents in the CPT but precedes it in node order: its view, with the
-    node's axis moved into place, is not C-ordered, so a group holding one
-    is stacked from the views.  A stack's memory layout sets the order of
-    loopy BP's sums, so it stays as it was.
+    from those entries into a new C-contiguous array, also where a node's
+    axis moves before a free parent that follows it in node order.
     """
     dag = bn.dag
     index, parents, cards, cpts = dag._index, dag._parents, bn.cardinalities, bn.cpts
@@ -315,10 +313,8 @@ def clamp_factors(
     # the edges: each row's free members, in node order, row after row; a
     # node's own axis moves before the free parents that follow it
     r, c = np.nonzero(is_free)
-    moved = is_free[:, -1] & (is_free[:, :-1] & (pos[:, :-1] > pos[:, -1:])).any(axis=1)
-    if moved.any():
-        o = np.argsort(r * (n + 1) + pos[r, c], kind="stable")
-        r, c = r[o], c[o]
+    o = np.argsort(r * (n + 1) + pos[r, c], kind="stable")
+    r, c = r[o], c[o]
     edge_var = (s_free.cumsum() - 1)[pos[r, c]]
     edge_stride = stride[r, c]
     degree = np.bincount(r, minlength=k)
@@ -329,27 +325,14 @@ def clamp_factors(
     # factors grouped by table shape; a stable sort keeps each group's
     # factors in node order, and groups go in order of their first factor
     o = np.lexsort(shape.T)
-    new = np.ones(k, dtype=bool)
-    new[1:] = (shape[o[1:]] != shape[o[:-1]]).any(axis=1)
-    starts = np.flatnonzero(new)
-    ends = [*starts[1:].tolist(), k]
-    heads = o[starts]  # each group's first factor
-    any_moved = np.logical_or.reduceat(moved[o], starts).tolist()
+    cuts = np.flatnonzero((shape[o[1:]] != shape[o[:-1]]).any(axis=1)) + 1
     groups = []
-    for g in heads.argsort().tolist():
-        rows = o[starts[g] : ends[g]]
-        dims = tuple(shape[heads[g], : degree[heads[g]]].tolist())
+    for rows in sorted(np.split(o, cuts) if k else [], key=lambda rows: rows[0]):
+        dims = tuple(shape[rows[0], : degree[rows[0]]].tolist())
         edges = edge_start[rows, None] + np.arange(len(dims))
-        strides = edge_stride[edges]
-        if any_moved[g]:
-            item = flat.itemsize
-            tables = np.stack([
-                np.ndarray(dims, flat.dtype, flat, b * item, s)
-                for b, s in zip(base[rows].tolist(), (strides * item).tolist())
-            ])
-        else:  # the entry at index i of a table: its offset plus i . strides
-            grid = np.indices(dims).reshape(len(dims), math.prod(dims))
-            tables = flat[(base[rows, None] + strides @ grid).reshape(-1, *dims)]
+        # the entry at index i of a table: its offset plus i . strides
+        grid = np.indices(dims).reshape(len(dims), math.prod(dims))
+        tables = flat[(base[rows, None] + edge_stride[edges] @ grid).reshape(-1, *dims)]
         groups.append((tables, edges, rows))
     return ClampedFactors(
         free=tuple(free),
@@ -412,8 +395,8 @@ def loopy_bp(
 def _bp_run(parts: tuple, cfg: SamplerConfig) -> tuple:
     """The rounds of :func:`loopy_bp` on the parts stacked into one factor
     graph: part j's variables and edges follow those of the parts before
-    it, and each of its table stacks joins those of the same table shape
-    and memory layout."""
+    it, and each of its C-contiguous table stacks joins those of the same
+    table shape."""
     width = parts[0].width
     if any(p.width != width for p in parts):
         raise ArgumentError("the parts of one loopy-BP run must share one width")
@@ -422,13 +405,11 @@ def _bp_run(parts: tuple, cfg: SamplerConfig) -> tuple:
     edge_start = np.cumsum([0] + [len(p.edge_var) for p in parts[:-1]]).tolist()
     card = np.concatenate([p.cards for p in parts])
     edge_var = np.concatenate([p.edge_var + s for p, s in zip(parts, var_start.tolist())])
-    # a stack's memory layout sets the order in which a message's sum adds
-    # its terms, so only stacks of one table shape and one layout are joined
-    stacks = {}  # (table shape, table strides) -> [(tables, edge ids)] over the parts
+    stacks = {}  # table shape -> [(tables, edge ids)] over the parts
     for p, s in zip(parts, edge_start):
         for tables, edges, _ in p.groups:
             if edges.shape[1]:
-                stacks.setdefault((tables.shape[1:], tables.strides[1:]), []).append((tables, edges + s))
+                stacks.setdefault(tables.shape[1:], []).append((tables, edges + s))
 
     # the round plan: per stack, and per axis k of its tables, the message
     # rows of its edges (the edge id column, cut to the axis's states when

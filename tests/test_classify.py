@@ -161,3 +161,6 @@ def test_roc_errors():
         roc_auc([0.5, 0.6], [0, 0])
     with pytest.raises(DomainError):
         roc_auc([0.5], [1, 0])
+    # NaN compares equal to no score, not even itself, so it has no rank
+    with pytest.raises(DomainError, match="NaN"):
+        roc_auc([float("nan"), 0.5], [True, False])

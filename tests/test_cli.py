@@ -199,6 +199,14 @@ def test_benchmark_overrides(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(err)["error"] == "argument"
+    # a fractional node count is a one-line JSON error, not a traceback
+    spec.write_text(
+        json.dumps({"specs": [{"family": "er", "n": 12.5, "mb_size": 2.0}]}),
+        encoding="utf-8",
+    )
+    code, _, err = _run(capsys, "benchmark", "--spec", str(spec), "--out", str(out_csv))
+    assert code == 1
+    assert json.loads(err) == {"error": "parameter", "message": "n must be an integer, got 12.5"}
 
 
 def _write_models(tmp_path):

@@ -41,6 +41,11 @@ def test_config_validation():
         SgsConfig(table_cap=1)
     with pytest.raises(ArgumentError):
         SgsConfig(method_override={0: "fast"})
+    for field in ("n_max", "table_cap"):
+        for bad in (2.5, 1e6, False):
+            with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
+                SgsConfig(**{field: bad})
+    assert SgsConfig(n_max=np.int64(4), table_cap=np.int64(64)).n_max == 4
 
 
 def test_evidence_only_factor():

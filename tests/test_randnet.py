@@ -54,6 +54,12 @@ def test_spec_validation():
         GenSpec(family="islands", n=5, mb_size=2.0, islands=3)
     with pytest.raises(ParameterError):
         GenSpec(family="ws", n=10, mb_size=2.0, rewire_prob=-0.1)
+    for field in ("n", "categories", "seed", "islands"):
+        for bad in (12.5, 4.0, True):
+            with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+                GenSpec(**{"family": "islands", "n": 12, "mb_size": 2.0, field: bad})
+    spec = GenSpec("islands", np.int64(12), 2.0, categories=np.int32(3), seed=np.uint16(5), islands=np.int8(2))
+    assert (spec.n, spec.categories, spec.seed, spec.islands) == (12, 3, 5, 2)
 
 
 def test_spec_family_aliases():
