@@ -31,7 +31,7 @@ import numpy as np
 from .engine import METHODS, SgsConfig, canonical_method, marginal
 from .errors import CapacityError, DataFormatError
 from .junction import DEFAULT_TABLE_CAP
-from .network import derive_seed, log_enumerate_marginal
+from .network import derive_seed, is_integer, log_enumerate_marginal
 from .randnet import GenSpec, gen_network, nrmse, pick_evidence
 from .sampling import SamplerConfig
 
@@ -86,10 +86,10 @@ def run_benchmark(
     n_max: int = 15,
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> BenchResult:
-    if repetitions < 1:
-        raise DataFormatError("repetitions must be at least 1")
-    if not budgets or any(int(b) < 1 for b in budgets):
-        raise DataFormatError("budgets must be positive sample counts")
+    if not is_integer(repetitions) or repetitions < 1:
+        raise DataFormatError(f"repetitions must be an integer of at least 1, got {repetitions!r}")
+    if not budgets or not all(is_integer(b) and b >= 1 for b in budgets):
+        raise DataFormatError(f"budgets must be positive integer sample counts, got {budgets!r}")
     names = [canonical_method(m) for m in methods]
     if not names:
         raise DataFormatError("no methods requested")
@@ -223,7 +223,13 @@ def load_bench_file(text: str):
         if missing:
             raise DataFormatError(f"specs[{i}] is missing fields {sorted(missing)}")
         specs.append(GenSpec(**entry))
-    methods = tuple(doc.get("methods", DEFAULT_METHODS))
-    budgets = tuple(int(b) for b in doc.get("budgets", DEFAULT_BUDGETS))
-    repetitions = int(doc.get("repetitions", DEFAULT_REPETITIONS))
-    return specs, methods, budgets, repetitions
+    methods = doc.get("methods", list(DEFAULT_METHODS))
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise DataFormatError(f'"methods" must be a list of method names, got {methods!r}')
+    budgets = doc.get("budgets", list(DEFAULT_BUDGETS))
+    if not isinstance(budgets, list) or not all(map(is_integer, budgets)):
+        raise DataFormatError(f'"budgets" must be a list of integers, got {budgets!r}')
+    repetitions = doc.get("repetitions", DEFAULT_REPETITIONS)
+    if not is_integer(repetitions):
+        raise DataFormatError(f'"repetitions" must be an integer, got {repetitions!r}')
+    return specs, tuple(methods), tuple(budgets), repetitions

@@ -13,7 +13,11 @@ a CPT with one axis per family member, moving the node's own axis to its
 canonical slot when a parent follows it: ``junction.build_junction_tree``,
 which reshapes each CPT straight into its clique's axis order, and
 ``sampling.clamp_factors``, which gathers from every factor's flattened CPT
-with per-member strides.
+with per-member strides.  :func:`sample_forward_array` reads the rows with
+the same strides: it cumulates every CPT row into one table and draws the
+nodes of one topological level together, from one block of uniforms whose
+row t drives the t-th node of the topological order, so its draws are those
+of one inverse-CDF draw per node in that order.
 
 All probability accumulation happens in log space; sums of probabilities go
 through a stable log-sum-exp reduction.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -36,6 +41,7 @@ from .errors import (
 from .graphs import Dag
 
 DEFAULT_ENUM_BITS_CAP = 22.0
+DRAW_BLOCK = 256  # forward draws per pass of sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -212,14 +218,23 @@ def _check_full_assignment(bn: CategoricalBN, x: Mapping) -> None:
     validate_evidence(bn, x)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` or NumPy integer, the package's rule
+    for counts, seeds and states: a bool or a float, integral or not, is
+    not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def require_integer(name: str, value, error: type) -> None:
+    """Raise ``error`` unless ``value`` :func:`is_integer`."""
+    if not is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def require_integers(obj, names: Iterable[str], error: type) -> None:
-    """Raise ``error`` unless each attribute of ``obj`` named in ``names`` is
-    an ``int`` or NumPy integer, as :func:`validate_evidence` asks of a
-    state: a bool or a float, integral or not, is refused."""
+    """:func:`require_integer` on each attribute of ``obj`` named in ``names``."""
     for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise error(f"{name} must be an integer, got {value!r}")
+        require_integer(name, getattr(obj, name), error)
 
 
 def validate_evidence(bn: CategoricalBN, e: Mapping) -> None:
@@ -227,7 +242,7 @@ def validate_evidence(bn: CategoricalBN, e: Mapping) -> None:
     for v, s in e.items():
         if v not in bn.dag:
             raise InvalidAssignmentError(f"assignment names unknown node {v!r}")
-        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+        if not is_integer(s):
             raise InvalidAssignmentError(f"state for {v!r} must be an integer, got {s!r}")
         if not 0 <= s < bn.cardinalities[v]:
             raise InvalidAssignmentError(
@@ -313,29 +328,108 @@ def enumerate_marginal(
 
 
 def sample_forward_array(bn: CategoricalBN, n: int, rng) -> np.ndarray:
-    """Ancestral samples as an int array of shape (n, len(bn)).
+    """Ancestral samples as a C-ordered int64 array of shape (n, len(bn)).
 
     Columns follow canonical node order.  ``rng`` is a numpy Generator or a
-    seed accepted by ``numpy.random.default_rng``.
+    seed accepted by ``numpy.random.default_rng``.  Row t of one
+    ``(len(bn), n)`` uniform block drives the t-th node of the topological
+    order: the same stream as one ``rng.random(n)`` call per node in that
+    order, and the generator ends where those calls leave it.  A node's
+    state is the number of entries below its uniform among the first
+    card-1 of its cumulated CPT row, which is the inverse-CDF draw when the
+    row is non-negative (:func:`validate` reports any that is not).
+
+    The nodes of one level, 1 plus the largest level among their parents,
+    draw together: each level gathers its parents' states, forms CPT rows
+    from mixed-radix strides, and compares its uniforms with those rows of
+    one cumulated table.  The index arrays are built once, and no NumPy
+    call is made per node.  Draws go in blocks of ``DRAW_BLOCK``, so that
+    a level's temporaries, which hold a few entries per node and draw, stay
+    bounded by the network's size, not the sample count's.
     """
+    require_integer("sample count", n, ArgumentError)
     if n < 0:
         raise ArgumentError("sample count must be non-negative")
+    n = int(n)
     rng = np.random.default_rng(rng)
-    cols = {v: i for i, v in enumerate(bn.node_ids)}
-    out = np.zeros((n, len(bn.node_ids)), dtype=np.int64)
-    drawn = {}
-    for v in bn.dag._topo:
-        card = bn.cardinalities[v]
-        # a root's row is the int 0: its one CPT row broadcasts over the draws
-        cum = np.cumsum(bn.cpts[v][bn.row_index(v, drawn)], axis=-1)
-        u = rng.random(n)
-        drawn[v] = np.minimum((cum < u[:, None]).sum(axis=1), card - 1)
-        out[:, cols[v]] = drawn[v]
+    pos, stride, cum, bounds, order, out_rows = _forward_plan(bn)
+    k = len(order)
+    u = rng.random((k, n))
+    out = np.empty((n, k), dtype=np.int64)
+    for c in range(0, n, DRAW_BLOCK):
+        ub = u[order, c : c + DRAW_BLOCK, None]
+        # row k holds the padding's zero states, and row k + 1 ones, which
+        # the last column of pos reads with each node's first row as stride
+        x = np.zeros((k + 2, ub.shape[1]), dtype=np.int64)
+        x[k + 1] = 1
+        for a, b, w in bounds:
+            rows = np.matmul(stride[a:b, None, -w:], x[pos[a:b, -w:]])[:, 0]
+            np.add.reduce(cum[rows] < ub[a:b], axis=2, out=x[a:b])
+        out[c : c + DRAW_BLOCK] = x[out_rows].T
     return out
+
+
+def _forward_plan(bn: CategoricalBN) -> tuple:
+    """Index arrays for :func:`sample_forward_array`, nodes in level order
+    (by level, then by topological position).
+
+    ``pos`` has a row per node: its parents' rows of the state array,
+    right-aligned and padded with the zero-state row, and then the ones
+    row; ``stride`` holds each parent's mixed-radix stride and, last, the
+    node's first row in ``cum``.  ``cum`` holds every CPT row cumulated,
+    padded to the widest cardinality less one, with +inf from entry card-1
+    on.  ``bounds`` lists each level's slice and the width of its last
+    columns that cover its parents and the ones column; ``order`` takes
+    topological positions to level order and ``out_rows`` canonical ones.
+    """
+    dag, cards, cpts = bn.dag, bn.cardinalities, bn.cpts
+    topo, parents = dag._topo, dag._parents
+    k = len(topo)
+    level = {}
+    for v in topo:
+        level[v] = 1 + max(map(level.__getitem__, parents[v]), default=-1)
+    level = np.fromiter(level.values(), np.intp, k)
+    order = np.argsort(level, kind="stable")
+    rank = np.empty(k, dtype=np.intp)
+    rank[order] = np.arange(k)
+
+    # the parent matrix, right-aligned as in clamp_factors, in level order
+    at = dict(zip(topo, range(k)))
+    families = list(map(parents.__getitem__, topo))
+    n_par = np.fromiter(map(len, families), np.intp, k)
+    width = int(n_par.max(initial=0)) + 1
+    pos = np.full((k, width), k, dtype=np.intp)
+    pos[:, -1] = k + 1
+    row_ends = np.arange(1, k + 1) * width - 1 - n_par.cumsum()
+    par = np.fromiter(map(at.__getitem__, chain.from_iterable(families)), np.intp, int(n_par.sum()))
+    pos.reshape(-1)[np.arange(len(par)) + row_ends.repeat(n_par)] = rank[par]
+    pos = pos[order]
+    card = np.fromiter(map(cards.__getitem__, topo), np.intp, k)[order]
+    pcard = np.append(card, (1, 1))[pos]
+    stride = pcard[:, ::-1].cumprod(axis=1)[:, ::-1] // pcard
+    n_rows = stride[:, 0] * pcard[:, 0]
+    stride[:, -1] = n_rows.cumsum() - n_rows
+
+    # every CPT row, cumulated over its first card-1 entries, then +inf
+    in_order = [topo[t] for t in order.tolist()]
+    flat = np.frombuffer(b"".join(map(cpts.__getitem__, in_order)), dtype=float)
+    row_card = card.repeat(n_rows)
+    cols = np.arange(int(card.max(initial=2)) - 1)
+    live = cols < row_card[:, None] - 1
+    entry = (row_card.cumsum() - row_card)[:, None] + cols
+    cum = np.cumsum(np.where(live, flat[np.where(live, entry, 0)], 0.0), axis=1)
+    cum[~live] = np.inf
+
+    counts = np.bincount(level)
+    ends = counts.cumsum()
+    starts = ends - counts
+    widths = np.maximum.reduceat(n_par[order], starts) + 1 if k else starts
+    bounds = list(zip(starts.tolist(), ends.tolist(), widths.tolist()))
+    out_rows = rank[np.fromiter(map(at.__getitem__, dag.node_ids), np.intp, k)]
+    return pos, stride, cum, bounds, order, out_rows
 
 
 def sample_forward(bn: CategoricalBN, n: int, seed: int = 0) -> list[dict]:
     """Ancestral (forward) samples as a list of complete assignments."""
-    arr = sample_forward_array(bn, n, seed)
     ids = bn.node_ids
-    return [dict(zip(ids, map(int, arr[i]))) for i in range(n)]
+    return [dict(zip(ids, row)) for row in sample_forward_array(bn, n, seed).tolist()]

@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
 from .graphs import Dag
-from .network import CategoricalBN, derive_seed, require_integers, sample_forward_array
+from .network import CategoricalBN, derive_seed, is_integer, require_integers, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
 FAMILY_ALIASES = {
@@ -69,6 +70,8 @@ class GenSpec:
     rewire_prob: float = 0.1
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ParameterError(f"family must be a string, got {self.family!r}")
         object.__setattr__(
             self, "family", FAMILY_ALIASES.get(self.family, self.family)
         )
@@ -77,6 +80,10 @@ class GenSpec:
                 f"unknown family {self.family!r}, expected one of {FAMILIES}"
             )
         require_integers(self, ("n", "categories", "seed", "islands"), ParameterError)
+        for name in ("mb_size", "evidence_fraction", "rewire_prob"):
+            value = getattr(self, name)
+            if not isinstance(value, (float, np.floating)) and not is_integer(value):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
         if self.n < 2:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not (self.mb_size > 0.0):
@@ -350,19 +357,22 @@ def gen_dag(spec: GenSpec) -> Dag:
 
 
 def gen_cpts(dag: Dag, categories: int, seed: int) -> CategoricalBN:
-    """Attach uniformly drawn, row-normalized CPTs with a shared cardinality."""
+    """Attach uniformly drawn, row-normalized CPTs with a shared cardinality.
+
+    Every table has ``categories`` columns, so one uniform block holds them
+    all, table after table in canonical node order: the stream of one
+    ``rng.random((rows, categories))`` draw per table.  One division
+    normalizes every row, and the checked constructor copies each table out.
+    """
     if categories < 2:
         raise ParameterError("categories must be at least 2")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cards = {v: categories for v in dag.node_ids}
-    cpts = {}
-    for v in dag.node_ids:
-        rows = 1
-        for p in dag.parents(v):
-            rows *= cards[p]
-        table = rng.random((rows, categories))
-        cpts[v] = table / table.sum(axis=1, keepdims=True)
-    return CategoricalBN(dag, cards, cpts)
+    ids = dag.node_ids
+    cuts = list(accumulate((categories ** len(dag.parents(v)) for v in ids), initial=0))
+    block = rng.random((cuts[-1], categories))
+    block /= block.sum(axis=1, keepdims=True)
+    tables = [block[a:b] for a, b in zip(cuts, cuts[1:])]
+    return CategoricalBN(dag, dict.fromkeys(ids, categories), dict(zip(ids, tables)))
 
 
 def gen_network(spec: GenSpec) -> CategoricalBN:

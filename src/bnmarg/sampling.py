@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ArgumentError, InvalidAssignmentError
-from .network import CategoricalBN, require_integers, sample_forward_array
+from .network import CategoricalBN, require_integer, require_integers, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -590,6 +590,7 @@ def gibbs_proposal(
     ``rng``, which the ``gs`` baseline goes on to use for its importance
     samples.
     """
+    require_integer("burn_in", burn_in, ArgumentError)
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
     free = [v for v in bn.node_ids if v not in evidence]

@@ -74,6 +74,35 @@ def reordered(rng, bn):
     return CategoricalBN(Dag(ids, bn.dag.edges), bn.cardinalities, bn.cpts)
 
 
+def reference_sample_forward_array(bn, n, rng):
+    """Forward draws one node at a time in topological order, one
+    ``rng.random(n)`` call and one inverse-CDF lookup in the node's cumulated
+    CPT rows each: the sampler the level-batched one replaced."""
+    rng = np.random.default_rng(rng)
+    cols = {v: i for i, v in enumerate(bn.node_ids)}
+    out = np.zeros((n, len(bn.node_ids)), dtype=np.int64)
+    drawn = {}
+    for v in bn.dag._topo:
+        card = bn.cardinalities[v]
+        # a root's row is the int 0: its one CPT row broadcasts over the draws
+        cum = np.cumsum(bn.cpts[v][bn.row_index(v, drawn)], axis=-1)
+        u = rng.random(n)
+        drawn[v] = np.minimum((cum < u[:, None]).sum(axis=1), card - 1)
+        out[:, cols[v]] = drawn[v]
+    return out
+
+
+def reference_gen_cpts(dag, categories, seed):
+    """The tables ``randnet.gen_cpts`` draws, one ``rng.random`` call and one
+    normalization per node, and the generator that drew them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    cpts = {}
+    for v in dag.node_ids:
+        table = rng.random((categories ** len(dag.parents(v)), categories))
+        cpts[v] = table / table.sum(axis=1, keepdims=True)
+    return cpts, rng
+
+
 def brute_marginal(bn, evidence):
     """P(evidence) by plain iteration over every complete assignment."""
     free = [v for v in bn.node_ids if v not in evidence]

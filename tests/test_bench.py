@@ -12,7 +12,7 @@ from bnmarg.bench import (
     rows_to_gnuplot,
     run_benchmark,
 )
-from bnmarg.errors import DataFormatError
+from bnmarg.errors import DataFormatError, ParameterError
 from bnmarg.randnet import GenSpec
 
 
@@ -115,6 +115,12 @@ def test_argument_validation():
         run_benchmark([_spec()], budgets=(0,))
     with pytest.raises(DataFormatError):
         run_benchmark([_spec()], methods=())
+    for budgets in ((50.5,), (50.0,), (True,), ("50",), "50"):
+        with pytest.raises(DataFormatError, match="budgets must be positive integer"):
+            run_benchmark([_spec()], budgets=budgets)
+    for reps in (1.9, 2.0, True):
+        with pytest.raises(DataFormatError, match="repetitions must be an integer"):
+            run_benchmark([_spec()], repetitions=reps)
 
 
 def test_csv_round_trip():
@@ -167,3 +173,24 @@ def test_load_bench_file_errors():
         load_bench_file('{"specs": [{"family": "er", "n": 10, "mb_size": 2.0, "bogus": 1}]}')
     with pytest.raises(DataFormatError):
         load_bench_file('{"specs": [{"family": "er", "n": 10, "mb_size": 2.0}], "extra": true}')
+    spec = '{"family": "er", "n": 10, "mb_size": 2.0}'
+    refused = (
+        ('"budgets": [50.5]', '"budgets" must be a list of integers'),
+        ('"budgets": ["x"]', '"budgets" must be a list of integers'),
+        ('"budgets": 7', '"budgets" must be a list of integers'),
+        ('"repetitions": 1.9', '"repetitions" must be an integer'),
+        ('"repetitions": true', '"repetitions" must be an integer'),
+        ('"methods": "sgs"', '"methods" must be a list of method names'),
+        ('"methods": [1]', '"methods" must be a list of method names'),
+    )
+    for field, message in refused:
+        with pytest.raises(DataFormatError, match=message):
+            load_bench_file(f'{{"specs": [{spec}], {field}}}')
+    for entry, message in (
+        ('"mb_size": "2.0"', "mb_size must be a number"),
+        ('"mb_size": true', "mb_size must be a number"),
+        ('"evidence_fraction": "0.2"', "evidence_fraction must be a number"),
+        ('"family": ["er"]', "family must be a string"),
+    ):
+        with pytest.raises(ParameterError, match=message):
+            load_bench_file(f'{{"specs": [{{"family": "er", "n": 10, "mb_size": 2.0, {entry}}}]}}')

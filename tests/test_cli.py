@@ -207,6 +207,21 @@ def test_benchmark_overrides(capsys, tmp_path):
     code, _, err = _run(capsys, "benchmark", "--spec", str(spec), "--out", str(out_csv))
     assert code == 1
     assert json.loads(err) == {"error": "parameter", "message": "n must be an integer, got 12.5"}
+    # a fractional budget is refused, not truncated; a string in a float field too
+    for doc, error in (
+        (
+            {"specs": [{"family": "er", "n": 8, "mb_size": 2.0}], "budgets": [50.5]},
+            {"error": "data-format", "message": '"budgets" must be a list of integers, got [50.5]'},
+        ),
+        (
+            {"specs": [{"family": "er", "n": 8, "mb_size": "2.0"}]},
+            {"error": "parameter", "message": "mb_size must be a number, got '2.0'"},
+        ),
+    ):
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = _run(capsys, "benchmark", "--spec", str(spec), "--out", str(out_csv))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and json.loads(err) == error
 
 
 def _write_models(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from bnmarg.errors import ArgumentError, CapacityError, InvalidAssignmentError, UnknownNodeError
 from bnmarg.graphs import Dag
 from bnmarg.network import (
+    DRAW_BLOCK,
     CategoricalBN,
     enumerate_marginal,
     log_enumerate_marginal,
@@ -17,7 +18,14 @@ from bnmarg.network import (
     validate,
 )
 
-from conftest import brute_marginal, rand_bn, rand_evidence, reordered, sparse_bn
+from conftest import (
+    brute_marginal,
+    rand_bn,
+    rand_evidence,
+    reference_sample_forward_array,
+    reordered,
+    sparse_bn,
+)
 
 
 def joint_probability(bn, x):
@@ -239,6 +247,74 @@ def test_sample_forward_frequency_matches_joint():
     hits = int(np.sum(np.all(arr == 0, axis=1)))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) < 3 * sigma
+
+
+def test_sample_counts_must_be_integers():
+    bn = two_node()
+    for bad in (2.5, 2.0, True, "3", None):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ArgumentError, match="sample count must be an integer"):
+            sample_forward_array(bn, bad, rng)
+        assert rng.random() == np.random.default_rng(5).random()  # refused before any draw
+        with pytest.raises(ArgumentError, match="sample count must be an integer"):
+            sample_forward(bn, bad)
+    with pytest.raises(ArgumentError, match="non-negative"):
+        sample_forward_array(bn, -1, 0)
+    assert sample_forward_array(bn, np.int64(3), 0).tobytes() == sample_forward_array(bn, 3, 0).tobytes()
+    assert sample_forward(bn, np.uint8(2), 1) == sample_forward(bn, 2, 1)
+
+
+def test_sample_forward_dicts_hold_python_ints():
+    bn = sparse_bn(np.random.default_rng(31), 7)
+    xs = sample_forward(bn, 6, 3)
+    arr = sample_forward_array(bn, 6, 3)
+    assert xs == [dict(zip(bn.node_ids, map(int, row))) for row in arr]
+    assert all(type(s) is int for x in xs for s in x.values())
+    assert sample_forward(bn, 0, 3) == []
+
+
+def _random_tables(rng, dag, cards):
+    """Uniform CPT rows for ``dag``, one in five made deterministic."""
+    cpts = {}
+    for v in dag.node_ids:
+        rows = math.prod(cards[p] for p in dag.parents(v))
+        t = rng.random((rows, cards[v]))
+        t[rng.random(rows) < 0.2] = np.eye(cards[v])[rng.integers(cards[v])]
+        cpts[v] = t / t.sum(axis=1, keepdims=True)
+    return CategoricalBN(dag, cards, cpts)
+
+
+def _forward_cases():
+    """Networks on which the level-batched sampler must match the per-node
+    one: random, sparse and reordered ones with cardinalities 2-5 and
+    deterministic rows, one node, no edges, and a 300-node chain (one node
+    per level)."""
+    for k in range(20):
+        rng = np.random.default_rng(9100 + k)
+        n = int(rng.integers(2, 14))
+        yield rand_bn(rng, n, 0.4, cards=(2, 3, 4, 5))
+        yield sparse_bn(rng, n)
+        yield reordered(rng, sparse_bn(rng, n))
+    rng = np.random.default_rng(9200)
+    yield CategoricalBN(Dag(("A",)), {"A": 3}, {"A": [[0.2, 0.3, 0.5]]})
+    names = tuple(f"v{i}" for i in range(6))
+    yield _random_tables(rng, Dag(names), dict(zip(names, (2, 3, 4, 5, 2, 5))))
+    names = tuple(f"c{i:03d}" for i in range(300))
+    chain = Dag(names, list(zip(names, names[1:])))
+    yield _random_tables(rng, chain, {v: int(rng.integers(2, 6)) for v in names})
+
+
+def test_forward_draws_match_per_node_sampler():
+    for i, bn in enumerate(_forward_cases()):
+        for n in (0, 1, 40, 2 * DRAW_BLOCK + 3):
+            want_rng, got_rng = np.random.default_rng(i), np.random.default_rng(i)
+            want = reference_sample_forward_array(bn, n, want_rng)
+            got = sample_forward_array(bn, n, got_rng)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == (n, len(bn))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (i, n)
+            assert got_rng.random() == want_rng.random()  # the generator ends where it did
 
 
 def _pin_networks():

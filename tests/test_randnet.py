@@ -13,12 +13,15 @@ from bnmarg.randnet import (
     FAMILIES,
     GenSpec,
     blanket_means,
+    gen_cpts,
     gen_dag,
     gen_network,
     mean_markov_blanket,
     nrmse,
     pick_evidence,
 )
+
+from conftest import rand_dag, reference_gen_cpts
 
 
 def adjacency_mean_mb(adj: np.ndarray) -> float:
@@ -60,6 +63,14 @@ def test_spec_validation():
                 GenSpec(**{"family": "islands", "n": 12, "mb_size": 2.0, field: bad})
     spec = GenSpec("islands", np.int64(12), 2.0, categories=np.int32(3), seed=np.uint16(5), islands=np.int8(2))
     assert (spec.n, spec.categories, spec.seed, spec.islands) == (12, 3, 5, 2)
+    for field in ("mb_size", "evidence_fraction", "rewire_prob"):
+        for bad in ("0.2", True, None):
+            with pytest.raises(ParameterError, match=f"{field} must be a number"):
+                GenSpec(**{"family": "ws", "n": 12, "mb_size": 2.0, field: bad})
+    with pytest.raises(ParameterError, match="family must be a string"):
+        GenSpec(family=["er"], n=12, mb_size=2.0)
+    spec = GenSpec("ws", 12, np.float32(2.5), evidence_fraction=np.float64(0.25), rewire_prob=0)
+    assert (spec.mb_size, spec.evidence_fraction, spec.rewire_prob) == (2.5, 0.25, 0)
 
 
 def test_spec_family_aliases():
@@ -271,6 +282,24 @@ def test_generated_cpts_are_proper():
         assert np.all(t > 0.0)
         entries.extend(t.ravel().tolist())
     assert abs(float(np.mean(entries)) - 1.0 / 3.0) < 1e-9
+
+
+def test_gen_cpts_matches_per_node_draws():
+    """One uniform block and one normalization give the tables one draw and
+    one normalization per node gave, also at 9 and more categories, where
+    each row sum runs pairwise."""
+    rng = np.random.default_rng(9300)
+    dags = [Dag(("A",)), Dag(("A", "B", "C")), rand_dag(rng, 12, 0.3), rand_dag(rng, 30, 0.1)]
+    for categories in (2, 3, 5, 9, 12):
+        for k, dag in enumerate(dags):
+            want, _ = reference_gen_cpts(dag, categories, k)
+            got = gen_cpts(dag, categories, k)
+            assert got.cardinalities == dict.fromkeys(dag.node_ids, categories)
+            for v in dag.node_ids:
+                t = got.cpts[v]
+                assert t.dtype == want[v].dtype and t.shape == want[v].shape
+                assert t.flags.c_contiguous
+                assert t.tobytes() == want[v].tobytes(), (categories, k, v)
 
 
 def test_generation_is_deterministic():

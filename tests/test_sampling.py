@@ -873,6 +873,14 @@ def test_gibbs_burn_in_validation():
     bn = rand_bn(rng, 4, 0.4)
     with pytest.raises(ArgumentError):
         gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=-1)
+    for bad in (True, 2.5, 2.0, "3"):
+        with pytest.raises(ArgumentError, match="burn_in must be an integer"):
+            gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=bad)
+    a, b = (
+        gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=k)
+        for k in (np.int16(2), 2)
+    )
+    assert a.nodes == b.nodes and a.probs.tobytes() == b.probs.tobytes()
 
 
 def test_estimators_are_deterministic():
