@@ -161,8 +161,8 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     reports = [None] * len(dec.subsets)
     sampled = []
     for i, (sub, b) in enumerate(zip(dec.subsets, dec.boundaries)):
-        scope = set(sub) | set(b.e_mb)
-        factors = set(sub) | set(b.e_ch)
+        scope = sub + b.e_mb
+        factors = sub + b.e_ch
         values = {v: evidence[v] for v in b.e_mb}
         forced = override.get(i)
         if forced == "exact" or (forced is None and len(sub) < cfg.n_max):

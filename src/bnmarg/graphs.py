@@ -15,7 +15,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, CycleError, UnknownNodeError
 
@@ -342,6 +342,59 @@ def triangulate(
         order.extend(rest)
     maximal.sort()
     return Triangulation(elimination_order=tuple(order), cliques=tuple(maximal))
+
+
+def chordal_cliques(adjacency: Sequence[set]) -> Optional[tuple]:
+    """The maximal cliques of a chordal graph, or None if it is not chordal.
+
+    ``adjacency[i]`` holds the neighbour positions of position i.  Maximum
+    cardinality search numbers next an unnumbered node with the most
+    numbered neighbours (Tarjan & Yannakakis, SIAM J. Comput. 13(3), 1984),
+    from buckets by that count, in time linear in the graph.  The graph is
+    chordal exactly when, for every node, its neighbours numbered before it,
+    less the last of them, are neighbours of that last one; the first node
+    that fails this returns None.  A node and its earlier neighbours then
+    form a clique, and that clique is maximal unless the next node numbered
+    has more earlier neighbours (it extends it).  A chordal graph has one
+    set of maximal cliques, so they equal :func:`triangulate`'s (which adds
+    no fill edge to it): sorted position tuples, in sorted order.
+    """
+    n = len(adjacency)
+    earlier = [[] for _ in range(n)]  # each node's numbered neighbours, in numbering order
+    numbered = [False] * n
+    buckets = [list(range(n - 1, -1, -1))]  # unnumbered nodes by len(earlier); stale entries skipped
+    top = 0
+    maximal = []
+    clique = None  # the last numbered node with its earlier neighbours
+    for _ in range(n):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            v = bucket.pop()
+            if not numbered[v] and len(earlier[v]) == top:
+                break
+        before = earlier[v]
+        if len(before) > 1 and not adjacency[before[-1]].issuperset(before[:-1]):
+            return None
+        if clique is not None and top < len(clique):
+            maximal.append(tuple(sorted(clique)))
+        clique = before + [v]
+        numbered[v] = True
+        for u in adjacency[v]:
+            if not numbered[u]:
+                earlier[u].append(v)
+                k = len(earlier[u])
+                if k > top:
+                    top = k
+                    if k == len(buckets):
+                        buckets.append([])
+                buckets[k].append(u)
+    if clique is not None:
+        maximal.append(tuple(sorted(clique)))
+    maximal.sort()
+    return tuple(maximal)
 
 
 def _check_cap(node_ids: Sequence[NodeId], clique: set, cards: Sequence[int], table_cap: float) -> None:

@@ -231,6 +231,19 @@ def require_integer(name: str, value, error: type) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number, the package's rule for float
+    parameters: an ``int``, a ``float`` or a NumPy integer or float; a bool
+    or a string is not one."""
+    return isinstance(value, (float, np.floating)) or is_integer(value)
+
+
+def require_number(name: str, value, error: type) -> None:
+    """Raise ``error`` unless ``value`` :func:`is_number`."""
+    if not is_number(value):
+        raise error(f"{name} must be a number, got {value!r}")
+
+
 def require_integers(obj, names: Iterable[str], error: type) -> None:
     """:func:`require_integer` on each attribute of ``obj`` named in ``names``."""
     for name in names:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
 from .graphs import Dag
-from .network import CategoricalBN, derive_seed, is_integer, require_integers, sample_forward_array
+from .network import CategoricalBN, derive_seed, require_integers, require_number, sample_forward_array
 
 FAMILIES = ("er", "ba", "ws", "islands")
 FAMILY_ALIASES = {
@@ -81,9 +81,7 @@ class GenSpec:
             )
         require_integers(self, ("n", "categories", "seed", "islands"), ParameterError)
         for name in ("mb_size", "evidence_fraction", "rewire_prob"):
-            value = getattr(self, name)
-            if not isinstance(value, (float, np.floating)) and not is_integer(value):
-                raise ParameterError(f"{name} must be a number, got {value!r}")
+            require_number(name, getattr(self, name), ParameterError)
         if self.n < 2:
             raise ParameterError(f"need at least 2 nodes, got {self.n}")
         if not (self.mb_size > 0.0):
@@ -387,6 +385,7 @@ def pick_evidence(bn: CategoricalBN, fraction: float, seed: int):
     States come from a forward sample of the whole network, so the returned
     assignment always has positive probability.
     """
+    require_number("evidence fraction", fraction, ArgumentError)
     if not (0.0 <= fraction <= 1.0):
         raise ArgumentError("evidence fraction must lie in [0, 1]")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ArgumentError, InvalidAssignmentError
-from .network import CategoricalBN, require_integer, require_integers, sample_forward_array
+from .network import CategoricalBN, require_integer, require_integers, require_number, sample_forward_array
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         require_integers(self, ("sample_count", "lbp_iterations", "seed"), ArgumentError)
+        for name in ("lbp_tolerance", "belief_floor"):
+            require_number(name, getattr(self, name), ArgumentError)
         if self.sample_count < 1:
             raise ArgumentError("sample_count must be >= 1")
         if self.lbp_iterations < 1:

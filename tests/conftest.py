@@ -14,7 +14,8 @@ from collections import namedtuple
 import numpy as np
 
 from bnmarg.decompose import SubsetBoundary
-from bnmarg.graphs import Dag, moral_graph
+from bnmarg.graphs import Dag, moral_graph, triangulate
+from bnmarg.junction import _collect_schedule, _Plan, _spanning_tree
 from bnmarg.network import CategoricalBN
 
 
@@ -31,7 +32,23 @@ def rand_dag(rng, n, p):
 
 
 def rand_bn(rng, n, p=0.3, cards=(2, 3)):
-    dag = rand_dag(rng, n, p)
+    return rand_cpts(rng, rand_dag(rng, n, p), cards)
+
+
+def sparse_er_dag(rng, n, mean_degree):
+    """Random DAG with edge probability ``mean_degree / (n - 1)``, drawn one
+    row at a time, over a shuffled node list (parents may follow children)."""
+    p = mean_degree / (n - 1)
+    names = [f"n{i}" for i in range(n)]
+    edges = [
+        (names[i], names[i + 1 + int(j)]) for i in range(n - 1) for j in np.flatnonzero(rng.random(n - 1 - i) < p)
+    ]
+    return Dag([names[i] for i in rng.permutation(n)], edges)
+
+
+def rand_cpts(rng, dag, cards=(2, 3)):
+    """A network on ``dag`` with cardinalities drawn from ``cards`` and
+    strictly positive random CPT rows."""
     cardinalities = {v: int(rng.choice(cards)) for v in dag.node_ids}
     cpts = {}
     for v in dag.node_ids:
@@ -395,6 +412,48 @@ def _expand(table, vars_, clique, cards):
     so that it broadcasts against the clique's table."""
     present = set(vars_)
     return table.reshape([cards[v] if v in present else 1 for v in clique])
+
+
+def reference_build_plan(scope, families, is_factor, cards, table_cap):
+    """The exact solver's plan with every moral graph triangulated by min-fill,
+    as the package built it before chordal scopes took their cliques from
+    maximum cardinality search: the cliques from ``triangulate``, which
+    refuses an oversized one in its own words, then the package's spanning
+    tree, each requested CPT in the smallest clique holding its family (the
+    first among equals) and the collect schedule towards clique 0."""
+    cliques = triangulate(scope, moral_graph(families), cards, table_cap).cliques
+    clique_sets = [set(c) for c in cliques]
+    holders = [[] for _ in scope]  # the cliques holding each position, ascending
+    for c, clique in enumerate(cliques):
+        for u in clique:
+            holders[u].append(c)
+    edges = tuple(_spanning_tree(cliques))
+    placements = []
+    for i, family in enumerate(families):
+        if not is_factor[i]:
+            continue
+        k = -1
+        for c in holders[i]:
+            members = clique_sets[c]
+            if (k < 0 or len(members) < len(clique_sets[k])) and members.issuperset(family):
+                k = c
+        clique = cliques[k]
+        if len(family) < 2 or family[-2] < i:
+            shape = tuple([cards[u] if u in family else 1 for u in clique])
+            perm = None
+        else:
+            shape = tuple([cards[u] if u in family else 1 for u in clique if u != i] + [cards[i]])
+            perm = list(range(len(clique) - 1))
+            perm.insert(clique.index(i), len(clique) - 1)
+            perm = tuple(perm)
+        placements.append((i, k, shape, perm))
+    return _Plan(
+        cliques=cliques,
+        edges=edges,
+        placements=tuple(placements),
+        collect=_collect_schedule(cliques, edges, cards, 0),
+        shapes=tuple(tuple(cards[u] for u in c) for c in cliques),
+    )
 
 
 # the clique tree the reference solver works on: node-name cliques, tree edges

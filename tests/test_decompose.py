@@ -15,6 +15,7 @@ from conftest import (
     reference_find_subsets,
     reordered,
     sparse_bn,
+    sparse_er_dag,
     two_group_network,
 )
 
@@ -161,17 +162,6 @@ def test_subset_boundaries_definitional():
         assert [dag.index(s[0]) for s in subsets] == sorted(dag.index(s[0]) for s in subsets)
 
 
-def _sparse_er_dag(rng, n, mean_degree):
-    """Random DAG with edge probability ``mean_degree / (n - 1)``, drawn one
-    row at a time, over a shuffled node list (parents may follow children)."""
-    p = mean_degree / (n - 1)
-    names = [f"n{i}" for i in range(n)]
-    edges = [
-        (names[i], names[i + 1 + int(j)]) for i in range(n - 1) for j in np.flatnonzero(rng.random(n - 1 - i) < p)
-    ]
-    return Dag([names[i] for i in rng.permutation(n)], edges)
-
-
 def test_find_subsets_matches_moral_graph_search():
     # the search over parent and child lists returns, tuple for tuple, what a
     # breadth-first search over the explicit moral graph returns: on whole
@@ -186,7 +176,7 @@ def test_find_subsets_matches_moral_graph_search():
         for fraction in (0.0, 0.1, 0.3, 0.6, 1.0):
             e = set(rand_evidence(rng, bn, round(fraction * n)))
             cases += [(bn.dag, e), (relevant_subgraph(bn, e).dag, e)]
-    big = _sparse_er_dag(rng, 2500, 1.6)
+    big = sparse_er_dag(rng, 2500, 1.6)
     assert 1.4 < 2 * len(big.edges) / len(big) < 1.8
     for fraction in (0.0, 0.05, 0.3, 0.7, 1.0):
         e = set(rng.choice(big.node_ids, size=round(fraction * len(big)), replace=False).tolist())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bnmarg.errors import ArgumentError, CycleError, UnknownNodeError
-from bnmarg.graphs import Dag, d_separated, triangulate
+from bnmarg.graphs import Dag, chordal_cliques, d_separated, triangulate
 
 from conftest import (
     adjacency,
@@ -230,6 +230,46 @@ def test_triangulate_matches_reference_min_fill():
         assert (order, cliques) == reference_min_fill(ids, adj)
         count += 1
     assert count > 300
+
+
+def test_chordal_cliques_examples():
+    # a chordless 4-cycle has no perfect elimination order; a tree's cliques
+    # are its edges; a complete graph is one clique; each component of a
+    # disconnected graph gives its own cliques, an isolated node included
+    cycle = adjacency("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+    assert chordal_cliques(cycle) is None
+    tree = adjacency("ABCDEF", [("A", "B"), ("A", "C"), ("C", "D"), ("C", "E"), ("E", "F")])
+    assert chordal_cliques(tree) == ((0, 1), (0, 2), (2, 3), (2, 4), (4, 5))
+    complete = adjacency("ABCDE", random_edges(np.random.default_rng(0), "ABCDE", 1.0))
+    assert chordal_cliques(complete) == ((0, 1, 2, 3, 4),)
+    two = adjacency("ABCDEFG", [("A", "C"), ("A", "E"), ("C", "E"), ("E", "G"), ("B", "D"), ("D", "F")])
+    assert chordal_cliques(two) == ((0, 2, 4), (1, 3), (3, 5), (4, 6))
+    assert chordal_cliques(adjacency("AB", [])) == ((0,), (1,))
+    assert chordal_cliques([]) == ()
+    # one chord makes the 4-cycle chordal; two triangles sharing it
+    assert chordal_cliques(adjacency("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A"), ("A", "C")])) == (
+        (0, 1, 2),
+        (0, 2, 3),
+    )
+
+
+def test_chordal_cliques_match_min_fill_exactly_on_chordal_graphs():
+    # None exactly when min-fill has to add a fill edge, which it does for
+    # every graph that is not chordal and for none that is; otherwise the
+    # cliques min-fill finds
+    rng = np.random.default_rng(37)
+    seen = {True: 0, False: 0}
+    for ids, adj in oracle_graphs(rng):
+        got = chordal_cliques(adj)
+        _, cliques, chordal = _triangulate(ids, adj)
+        assert (got is None) == (chordal != adj)
+        if got is not None:
+            assert [tuple(ids[u] for u in c) for c in got] == cliques
+        seen[got is None] += 1
+    for ids, adj in oracle_graphs(rng):  # the chordal completions of the same graphs
+        _, _, chordal = _triangulate(ids, adj)
+        assert chordal_cliques(chordal) == triangulate(ids, chordal, [2] * len(ids), math.inf).cliques
+    assert min(seen.values()) > 80, seen
 
 
 def test_moral_adjacency_of_induced_subgraphs():

@@ -7,20 +7,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from bnmarg import junction
 from bnmarg.decompose import decompose, find_subsets, relevant_subgraph
 from bnmarg.engine import SgsConfig, _log_exact, marginal
 from bnmarg.errors import ArgumentError, CapacityError
-from bnmarg.graphs import Dag, triangulate
+from bnmarg.graphs import Dag, chordal_cliques, moral_graph, triangulate
 from bnmarg.junction import (
     PLAN_CACHE_SIZE,
     PLAN_NODE_LIMIT,
+    _build_plan,
     _plan,
     _spanning_tree,
     build_junction_tree,
     incorporate_evidence,
     log_tree_sum,
 )
-from bnmarg.network import CategoricalBN, log_enumerate_marginal
+from bnmarg.network import CategoricalBN, log_enumerate_marginal, sample_forward
 
 from conftest import (
     adjacency,
@@ -29,15 +31,18 @@ from conftest import (
     moral_edges,
     oracle_graphs,
     rand_bn,
+    rand_cpts,
     rand_dag,
     rand_evidence,
     reference_build_junction_tree,
+    reference_build_plan,
     reference_incorporate_evidence,
     reference_log_tree_sum,
     reference_min_fill,
     reference_spanning_tree,
     reordered,
     sparse_bn,
+    sparse_er_dag,
 )
 
 
@@ -356,6 +361,92 @@ def test_exact_solver_matches_reference_bit_for_bit():
         solve_and_compare(net, scope, factors, values, want, largest)
         assert refusal(net, scope, factors, largest - 1) == refused
     assert _plan.cache_info().hits > 40, _plan.cache_info()
+
+
+def _plan_inputs(bn, scope, factors):
+    """The scope in canonical order, each node's family as positions in it
+    (parents ascending, then the node), the factor flags and cardinalities,
+    read as build_junction_tree reads them."""
+    scope = bn.dag.sort(set(scope))
+    pos = {v: i for i, v in enumerate(scope)}
+    families = [[pos[p] for p in bn.dag.parents(v) if p in pos] + [i] for i, v in enumerate(scope)]
+    return scope, families, [v in factors for v in scope], [bn.cardinalities[v] for v in scope]
+
+
+def test_plan_builder_matches_reference_plan():
+    # chordal moral graphs take their cliques from maximum cardinality
+    # search and the rest go through min-fill: every plan equals, tuple for
+    # tuple, the one built with min-fill alone, under a cap at its largest
+    # clique table, and one below that cap both refuse in the same words.
+    # Scopes run from one node to above the cache's node limit: whole
+    # networks, every subset scope as sgs builds it and random node sets
+    rng = np.random.default_rng(73)
+    seen = Counter()
+    for trial in range(150):
+        n = int(rng.integers(1, 14)) if trial % 10 else int(rng.integers(PLAN_NODE_LIMIT + 1, 2 * PLAN_NODE_LIMIT))
+        if trial % 3 == 0:
+            bn = sparse_bn(rng, n, p=0.35 if n < 14 else 2.5 / n)
+        else:
+            bn = rand_bn(rng, n, rng.random() if n < 14 else 3 * rng.random() / n, cards=(2, 3, 4, 5))
+        if trial % 2:
+            bn = reordered(rng, bn)
+        e = rand_evidence(rng, bn, int(rng.integers(0, n)))
+        calls = [(bn, bn.node_ids, bn.node_ids)]
+        if e:
+            dec = decompose(bn, e)
+            rel = relevant_subgraph(bn, e)
+            calls += [(rel, sub + b.e_mb, sub + b.e_ch) for sub, b in zip(dec.subsets, dec.boundaries)]
+        keep = {v for v in bn.node_ids if rng.random() < 0.6} or {bn.node_ids[0]}
+        calls.append((bn, keep, {v for v in keep if keep.issuperset(bn.dag.parents(v))}))
+        for net, scope, factors in calls:
+            scope, families, is_factor, cards = _plan_inputs(net, scope, factors)
+            want = reference_build_plan(scope, families, is_factor, cards, math.inf)
+            largest = max(math.prod(cards[u] for u in c) for c in want.cliques)
+            assert tuple(_build_plan(scope, families, is_factor, cards, largest)) == tuple(want)
+            with pytest.raises(CapacityError) as refused:
+                reference_build_plan(scope, families, is_factor, cards, largest - 1)
+            with pytest.raises(CapacityError) as got:
+                _build_plan(scope, families, is_factor, cards, largest - 1)
+            assert str(got.value) == str(refused.value)
+            seen["chordal" if chordal_cliques(moral_graph(families)) is not None else "not chordal"] += 1
+            seen["one node"] += len(scope) == 1
+            seen["over the node limit"] += len(scope) > PLAN_NODE_LIMIT
+            seen["cardinality 5"] += 5 in cards
+            seen["parent after child"] += any(f[-2] > f[-1] for f in families if len(f) > 1)
+    assert min(seen.values()) > 10 and min(seen["chordal"], seen["not chordal"]) > 40, seen
+
+
+def test_cold_and_warm_plan_caches_agree_on_large_scopes(monkeypatch):
+    # one sgs query on a sparse 2,500-node network, from an emptied plan
+    # cache and again on the plans it stored: every subset's log factor is
+    # the same to the last bit, and the cold run built plans for scopes of
+    # more than 20 nodes, each a miss
+    rng = np.random.default_rng(83)
+    bn = rand_cpts(rng, sparse_er_dag(rng, 2500, 1.6), cards=(2, 3))
+    record = sample_forward(bn, 1, 5)[0]
+    evidence = {v: record[v] for v in bn.node_ids if rng.random() < 0.3}
+    built = []
+    build = junction._build_plan
+
+    def recording(scope, *args):
+        built.append(len(scope))
+        return build(scope, *args)
+
+    _plan.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(junction, "_build_plan", recording)
+        cold = marginal(bn, evidence, "sgs")
+    cold_info = _plan.cache_info()
+    warm = marginal(bn, evidence, "sgs")
+    warm_info = _plan.cache_info()
+    assert [(r.nodes, r.method, repr(r.log_factor)) for r in warm.per_subset] == [
+        (r.nodes, r.method, repr(r.log_factor)) for r in cold.per_subset
+    ]
+    assert repr(warm.log_value) == repr(cold.log_value)
+    exact = sum(r.method == "exact" for r in cold.per_subset)
+    assert exact > 100 and math.isfinite(cold.log_value)
+    assert cold_info.misses == len(built) > 0 and max(built) > 20, (cold_info, sorted(built)[-5:])
+    assert (warm_info.hits - cold_info.hits, warm_info.misses) == (exact, cold_info.misses)
 
 
 def test_plan_cache_is_bounded():

@@ -330,6 +330,14 @@ def test_pick_evidence_counts_and_validity():
     assert pick_evidence(bn, 0.5, 6) != e
     with pytest.raises(ArgumentError):
         pick_evidence(bn, 1.5, 5)
+    # the fraction is a real number: a bool would observe every node and a
+    # string would fail inside the comparison, so both are refused up front;
+    # an int or a NumPy float draws what the equal float draws
+    for bad in (True, False, "0.2", None, [0.5]):
+        with pytest.raises(ArgumentError, match="evidence fraction must be a number"):
+            pick_evidence(bn, bad, 5)
+    assert pick_evidence(bn, np.float64(0.5), 5) == e
+    assert pick_evidence(bn, 1, 5) == full
 
 
 def test_picked_evidence_has_positive_probability():

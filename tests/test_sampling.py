@@ -370,6 +370,15 @@ def test_sampler_config_validation():
         for bad in (2.5, 3.0, True):
             with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
                 SamplerConfig(**{"sample_count": 10, field: bad})
+    # float fields refuse what is not a real number: a string used to fail
+    # inside the comparison with a bare TypeError, and True passed as 1.0
+    for field in ("lbp_tolerance", "belief_floor"):
+        for bad in ("1e-6", True, None, [1e-6]):
+            with pytest.raises(ArgumentError, match=f"{field} must be a number"):
+                SamplerConfig(**{"sample_count": 10, field: bad})
+    cfg = SamplerConfig(sample_count=10, lbp_tolerance=np.float32(1e-3), belief_floor=np.float64(1e-4))
+    assert (cfg.lbp_tolerance, cfg.belief_floor) == (np.float32(1e-3), 1e-4)
+    assert SamplerConfig(sample_count=10, lbp_tolerance=1).lbp_tolerance == 1
     cfg = SamplerConfig(sample_count=np.int64(10), lbp_iterations=np.int32(3), seed=np.uint8(7))
     assert (cfg.sample_count, cfg.lbp_iterations, cfg.seed) == (10, 3, 7)
 
