@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     UnknownNodeError,
 )
-from .graphs import Dag, d_separated
+from .graphs import Dag
 from .junction import build_junction_tree
 from .netformat import parse_dataset, parse_network, serialize_dataset, serialize_network
 from .network import (
@@ -77,7 +77,6 @@ __all__ = [
     "build_junction_tree",
     "classify",
     "classify_drop_missing",
-    "d_separated",
     "decompose",
     "enumerate_marginal",
     "find_subsets",

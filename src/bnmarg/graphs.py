@@ -34,6 +34,14 @@ class Dag:
         Iterable of (parent, child) pairs.  Self loops, duplicate edges and
         unknown endpoints are rejected; a directed cycle raises CycleError
         naming one offending cycle.
+
+    The topological order ``_topo`` takes the smallest ready position
+    first.  When every edge runs from a lower to a higher position (as the
+    generators and canonical network files list them), that order is the
+    node order itself: once every earlier node is taken, a node's parents
+    are done and it is the smallest ready one.  Only other edge lists run
+    the min-heap pass, which also builds the child lists; otherwise they
+    are built on first use.
     """
 
     def __init__(self, node_ids: Sequence[NodeId], edges: Iterable[tuple] = ()):
@@ -42,14 +50,16 @@ class Dag:
         self.node_ids = tuple(sys.intern(v) if type(v) is str else v for v in node_ids)
         if len(set(self.node_ids)) != len(self.node_ids):
             raise ArgumentError("duplicate node ids in node list")
-        self._index = {v: i for i, v in enumerate(self.node_ids)}
+        self._index = index = {v: i for i, v in enumerate(self.node_ids)}
 
+        parents = {v: [] for v in self.node_ids}
         edge_list = []
         seen = set()
+        forward = True
         for edge in edges:
             u, v = edge
-            if u not in self._index or v not in self._index:
-                missing = u if u not in self._index else v
+            if u not in index or v not in index:
+                missing = u if u not in index else v
                 raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")
             if u == v:
                 raise CycleError(f"self loop on {u!r}", cycle=(u, u))
@@ -57,14 +67,16 @@ class Dag:
                 raise ArgumentError(f"duplicate edge {u!r} -> {v!r}")
             seen.add((u, v))
             edge_list.append((u, v))
+            parents[v].append(u)
+            if forward and index[u] > index[v]:
+                forward = False
         self.edges = frozenset(edge_list)
 
-        parents = {v: [] for v in self.node_ids}
-        for u, v in edge_list:
-            parents[v].append(u)
-        key = self._index.__getitem__
-        self._parents = {v: tuple(sorted(ps, key=key)) for v, ps in parents.items()}
-        self._topo = self._compute_topological_order()
+        key = index.__getitem__
+        self._parents = {
+            v: tuple(ps) if len(ps) < 2 else tuple(sorted(ps, key=key)) for v, ps in parents.items()
+        }
+        self._topo = self.node_ids if forward else self._compute_topological_order()
 
     # -- basic queries ----------------------------------------------------
 
@@ -102,12 +114,6 @@ class Dag:
         nodes = list(nodes)
         self.check_nodes(nodes)
         return tuple(sorted(nodes, key=self._index.__getitem__))
-
-    def ancestors_of_set(self, nodes: Iterable) -> tuple:
-        """Union of strict ancestors of the given nodes, canonical order."""
-        nodes = set(nodes)
-        self.check_nodes(nodes)
-        return self.sort(self._ancestors(nodes))
 
     def _ancestors(self, nodes: Iterable) -> set:
         """Union of strict ancestors of the given nodes, all known, unordered."""
@@ -402,49 +408,3 @@ def _check_cap(node_ids: Sequence[NodeId], clique: set, cards: Sequence[int], ta
     if math.prod(cards[u] for u in clique) > table_cap:
         members = tuple(node_ids[u] for u in sorted(clique))
         raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)")
-
-
-def d_separated(dag: Dag, a: Iterable, b: Iterable, z: Iterable = ()) -> bool:
-    """True iff every undirected path between a and b is blocked given z.
-
-    Linear-time reachability over (node, approach-direction) states: a trail
-    may pass through a non-collider only when the node is unobserved, and
-    through a collider only when the node has an observed descendant (itself
-    included).  The three node sets must be pairwise disjoint.
-    """
-    a = frozenset(a)
-    b = frozenset(b)
-    z = frozenset(z)
-    dag.check_nodes(a | b | z)
-    if a & b or a & z or b & z:
-        raise ArgumentError("d-separation query requires pairwise disjoint node sets")
-    if not a or not b:
-        raise ArgumentError("d-separation query requires non-empty endpoint sets")
-
-    obs_anc = set(z)
-    obs_anc.update(dag.ancestors_of_set(z))
-
-    # state: (node, came_from_child). Sources behave as if entered from a child.
-    visited = set()
-    frontier = [(s, True) for s in a]
-    while frontier:
-        v, from_child = frontier.pop()
-        if (v, from_child) in visited:
-            continue
-        visited.add((v, from_child))
-        if v in b:
-            return False
-        if from_child:
-            if v not in z:
-                for p in dag.parents(v):
-                    frontier.append((p, True))
-                for c in dag.children(v):
-                    frontier.append((c, False))
-        else:
-            if v not in z:
-                for c in dag.children(v):
-                    frontier.append((c, False))
-            if v in obs_anc:
-                for p in dag.parents(v):
-                    frontier.append((p, True))
-    return True

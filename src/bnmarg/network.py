@@ -25,6 +25,7 @@ through a stable log-sum-exp reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -62,10 +63,13 @@ class CategoricalBN:
     read-only C-contiguous float copy, whatever the layout of the array it
     was given; numeric defects such as
     rows that do not sum to one are left for :func:`validate` to report, so
-    that deliberately broken tables can be inspected.
+    that deliberately broken tables can be inspected.  The parser, the
+    generator and :meth:`restrict` build their networks through
+    :meth:`_trusted` instead, from parts they have checked themselves.
 
     ``state_names`` is optional presentation metadata used by the file format
-    and command line; it defaults to ``s0, s1, ...`` per node.
+    and command line; it defaults to ``s0, s1, ...`` per node, one tuple
+    shared by the nodes of each cardinality (:func:`default_state_names`).
     """
 
     def __init__(
@@ -113,7 +117,7 @@ class CategoricalBN:
         for v in dag.node_ids:
             given = state_names.get(v)
             if given is None:
-                names[v] = tuple(f"s{i}" for i in range(cards[v]))
+                names[v] = default_state_names(cards[v])
             else:
                 given = tuple(str(s) for s in given)
                 if len(given) != cards[v] or len(set(given)) != len(given):
@@ -184,6 +188,13 @@ class CategoricalBN:
         net.cpts = cpts
         net.state_names = state_names
         return net
+
+
+@functools.lru_cache(maxsize=16)
+def default_state_names(card: int) -> tuple:
+    """The state names ``("s0", "s1", ...)`` of a node with ``card`` states
+    and none given; one tuple per cardinality, shared by every such node."""
+    return tuple(f"s{i}" for i in range(card))
 
 
 def derive_seed(seed: int, *key: int) -> int:

@@ -34,7 +34,15 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, ParameterError
 from .graphs import Dag
-from .network import CategoricalBN, derive_seed, require_integers, require_number, sample_forward_array
+from .network import (
+    CategoricalBN,
+    default_state_names,
+    derive_seed,
+    require_integer,
+    require_integers,
+    require_number,
+    sample_forward_array,
+)
 
 FAMILIES = ("er", "ba", "ws", "islands")
 FAMILY_ALIASES = {
@@ -50,6 +58,10 @@ _PILOT_ENTROPY = 0x9D2C5680  # fixed so calibration is reproducible everywhere
 _CALIBRATIONS_KEPT = 64
 # uniforms drawn at a time when an n x n uniform matrix is streamed in rows
 _CHUNK_ENTRIES = 1 << 18
+# most CPT entries gen_cpts draws for one network (512 MiB of floats), far
+# above the benchmark's and the tests' networks; a denser spec (say
+# GenSpec("er", 60, 40.0, categories=3), 167 GiB) is refused before drawing
+MAX_CPT_ENTRIES = 1 << 26
 # er pilots first keep their entries below this many times the edge
 # probability max(target, 1) / (n - 1), at which the expected skeleton degree
 # is the target
@@ -360,17 +372,28 @@ def gen_cpts(dag: Dag, categories: int, seed: int) -> CategoricalBN:
     Every table has ``categories`` columns, so one uniform block holds them
     all, table after table in canonical node order: the stream of one
     ``rng.random((rows, categories))`` draw per table.  One division
-    normalizes every row, and the checked constructor copies each table out.
+    normalizes every row; the block is then made read-only and each node's
+    table is a view of its rows, and every node shares one state-name tuple.
+    More than ``MAX_CPT_ENTRIES`` entries in all raise ParameterError before
+    anything is drawn.
     """
+    require_integer("categories", categories, ParameterError)
     if categories < 2:
         raise ParameterError("categories must be at least 2")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    categories = int(categories)
     ids = dag.node_ids
     cuts = list(accumulate((categories ** len(dag.parents(v)) for v in ids), initial=0))
+    if cuts[-1] * categories > MAX_CPT_ENTRIES:
+        raise ParameterError(
+            f"CPTs of {cuts[-1] * categories} entries exceed the generator's cap of {MAX_CPT_ENTRIES}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     block = rng.random((cuts[-1], categories))
     block /= block.sum(axis=1, keepdims=True)
-    tables = [block[a:b] for a, b in zip(cuts, cuts[1:])]
-    return CategoricalBN(dag, dict.fromkeys(ids, categories), dict(zip(ids, tables)))
+    block.setflags(write=False)
+    tables = {v: block[a:b] for v, a, b in zip(ids, cuts, cuts[1:])}
+    cards = dict.fromkeys(ids, categories)
+    return CategoricalBN._trusted(dag, cards, tables, dict.fromkeys(ids, default_state_names(categories)))
 
 
 def gen_network(spec: GenSpec) -> CategoricalBN:

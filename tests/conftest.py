@@ -7,13 +7,16 @@ themselves.  They are exponential and meant for the small instances the
 tests use.
 """
 
+import heapq
 import itertools
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
 
 from bnmarg.decompose import SubsetBoundary
+from bnmarg.errors import ArgumentError, CycleError, UnknownNodeError
 from bnmarg.graphs import Dag, moral_graph, triangulate
 from bnmarg.junction import _collect_schedule, _Plan, _spanning_tree
 from bnmarg.network import CategoricalBN
@@ -209,6 +212,108 @@ def path_d_separated(dag, a, b, z):
                 if _path_active(dag, path, z):
                     return False
     return True
+
+
+def ancestors_of_set(dag, nodes):
+    """Union of strict ancestors of the given nodes, canonical order."""
+    nodes = set(nodes)
+    dag.check_nodes(nodes)
+    return dag.sort(dag._ancestors(nodes))
+
+
+def d_separated(dag, a, b, z=()):
+    """True iff every undirected path between a and b is blocked given z.
+
+    Linear-time reachability over (node, approach-direction) states: a trail
+    may pass through a non-collider only when the node is unobserved, and
+    through a collider only when the node has an observed descendant (itself
+    included).  The three node sets must be pairwise disjoint.
+    """
+    a = frozenset(a)
+    b = frozenset(b)
+    z = frozenset(z)
+    dag.check_nodes(a | b | z)
+    if a & b or a & z or b & z:
+        raise ArgumentError("d-separation query requires pairwise disjoint node sets")
+    if not a or not b:
+        raise ArgumentError("d-separation query requires non-empty endpoint sets")
+
+    obs_anc = set(z)
+    obs_anc.update(ancestors_of_set(dag, z))
+
+    # state: (node, came_from_child). Sources behave as if entered from a child.
+    visited = set()
+    frontier = [(s, True) for s in a]
+    while frontier:
+        v, from_child = frontier.pop()
+        if (v, from_child) in visited:
+            continue
+        visited.add((v, from_child))
+        if v in b:
+            return False
+        if from_child:
+            if v not in z:
+                for p in dag.parents(v):
+                    frontier.append((p, True))
+                for c in dag.children(v):
+                    frontier.append((c, False))
+        else:
+            if v not in z:
+                for c in dag.children(v):
+                    frontier.append((c, False))
+            if v in obs_anc:
+                for p in dag.parents(v):
+                    frontier.append((p, True))
+    return True
+
+
+def reference_dag(node_ids, edges=()):
+    """``Dag(node_ids, edges)`` as the constructor built it before forward
+    edge lists skipped the min-heap pass: every parent tuple sorted, the
+    child lists built, and the topological order taken from the heap."""
+    dag = Dag.__new__(Dag)
+    dag.node_ids = tuple(sys.intern(v) if type(v) is str else v for v in node_ids)
+    if len(set(dag.node_ids)) != len(dag.node_ids):
+        raise ArgumentError("duplicate node ids in node list")
+    dag._index = {v: i for i, v in enumerate(dag.node_ids)}
+
+    edge_list = []
+    seen = set()
+    for edge in edges:
+        u, v = edge
+        if u not in dag._index or v not in dag._index:
+            missing = u if u not in dag._index else v
+            raise UnknownNodeError(f"edge endpoint {missing!r} is not a node")
+        if u == v:
+            raise CycleError(f"self loop on {u!r}", cycle=(u, u))
+        if (u, v) in seen:
+            raise ArgumentError(f"duplicate edge {u!r} -> {v!r}")
+        seen.add((u, v))
+        edge_list.append((u, v))
+    dag.edges = frozenset(edge_list)
+
+    parents = {v: [] for v in dag.node_ids}
+    for u, v in edge_list:
+        parents[v].append(u)
+    key = dag._index.__getitem__
+    dag._parents = {v: tuple(sorted(ps, key=key)) for v, ps in parents.items()}
+
+    indeg = {v: len(dag._parents[v]) for v in dag.node_ids}
+    ready = [dag._index[v] for v in dag.node_ids if indeg[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = dag.node_ids[heapq.heappop(ready)]
+        order.append(v)
+        for c in dag._children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, dag._index[c])
+    if len(order) != len(dag.node_ids):
+        cycle = dag._find_cycle()
+        raise CycleError("graph contains a directed cycle: " + " -> ".join(map(repr, cycle)), cycle=cycle)
+    dag._topo = tuple(order)
+    return dag
 
 
 def moral_edges(dag):

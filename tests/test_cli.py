@@ -146,6 +146,19 @@ def test_simulate_writes_parseable_file(capsys, tmp_path):
     assert all(c == 3 for c in bn.cardinalities.values())
 
 
+def test_simulate_refuses_oversized_tables_with_one_error_line(capsys, tmp_path):
+    out_path = tmp_path / "big.bn"
+    code, out, err = _run(
+        capsys, "simulate", "--family", "er", "--n", "60", "--mb-size", "40",
+        "--categories", "3", "--out", str(out_path),
+    )
+    assert code == 1 and out == "" and not out_path.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "parameter" and "exceed the generator's cap" in doc["message"]
+
+
 def test_benchmark_command(capsys, tmp_path):
     spec = tmp_path / "bench.json"
     spec.write_text(

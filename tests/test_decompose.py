@@ -3,10 +3,12 @@ import pytest
 
 from bnmarg.decompose import SubsetBoundary, decompose, find_subsets, relevant_subgraph
 from bnmarg.errors import UnknownNodeError
-from bnmarg.graphs import Dag, d_separated
+from bnmarg.graphs import Dag
 from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability, sample_forward_array
 
 from conftest import (
+    ancestors_of_set,
+    d_separated,
     dag_structure,
     markov_blanket,
     moral_edges,
@@ -82,7 +84,7 @@ def test_relevant_subgraph_matches_validated_construction():
         some = rand_evidence(rng, bn, int(rng.integers(1, n + 1)))
         for e in ({}, some, dict.fromkeys(bn.node_ids, 0)):
             got = relevant_subgraph(bn, e)
-            want = _validated_restriction(bn, set(e) | set(bn.dag.ancestors_of_set(e)))
+            want = _validated_restriction(bn, set(e) | set(ancestors_of_set(bn.dag, e)))
             # an ancestral restriction shares every parent tuple, and builds
             # its edge set only when asked, equal to the constructor's
             assert all(got.dag._parents[v] is bn.dag._parents[v] for v in got.node_ids)
@@ -180,7 +182,7 @@ def test_find_subsets_matches_moral_graph_search():
     assert 1.4 < 2 * len(big.edges) / len(big) < 1.8
     for fraction in (0.0, 0.05, 0.3, 0.7, 1.0):
         e = set(rng.choice(big.node_ids, size=round(fraction * len(big)), replace=False).tolist())
-        cases += [(big, e), (big.subgraph(e | set(big.ancestors_of_set(e))), e)]
+        cases += [(big, e), (big.subgraph(e | set(ancestors_of_set(big, e))), e)]
     for dag, e in cases:
         assert find_subsets(dag, e) == reference_find_subsets(dag, e)
     # the large network has a giant component, which 30 % evidence splits

@@ -8,7 +8,8 @@ import pytest
 from bnmarg.errors import ArgumentError, DomainError, ParameterError
 from bnmarg.graphs import Dag
 from bnmarg import randnet
-from bnmarg.netformat import serialize_network
+from bnmarg.netformat import parse_network, serialize_network
+from bnmarg.network import CategoricalBN, validate
 from bnmarg.randnet import (
     FAMILIES,
     GenSpec,
@@ -20,8 +21,9 @@ from bnmarg.randnet import (
     nrmse,
     pick_evidence,
 )
+from bnmarg.sampling import clamp_factors
 
-from conftest import rand_dag, reference_gen_cpts
+from conftest import dag_structure, rand_dag, reference_gen_cpts
 
 
 def adjacency_mean_mb(adj: np.ndarray) -> float:
@@ -300,6 +302,84 @@ def test_gen_cpts_matches_per_node_draws():
                 assert t.dtype == want[v].dtype and t.shape == want[v].shape
                 assert t.flags.c_contiguous
                 assert t.tobytes() == want[v].tobytes(), (categories, k, v)
+
+
+def _clamped(bn, evidence):
+    """Every field of ``clamp_factors``' stacks, as bytes where they are arrays."""
+    cf = clamp_factors(bn, evidence)
+    groups = [tuple((a.shape, a.tobytes()) for a in g) for g in cf.groups]
+    return cf.free, cf.cards.tobytes(), cf.edge_var.tobytes(), groups, cf.size
+
+
+def test_generated_networks_are_trusted_and_read_only():
+    # gen_cpts hands read-only views of one block to the unchecked
+    # constructor; the network must be the one the checked constructor
+    # builds from the same tables, down to what restrict, clamp_factors and
+    # serialize_network give
+    for k, family in enumerate(FAMILIES * 2):
+        bn = gen_network(GenSpec(family, 40, 3.0, categories=2 + k % 3, seed=k))
+        checked = CategoricalBN(bn.dag, bn.cardinalities, bn.cpts)
+        assert validate(bn) == []
+        assert bn.state_names == checked.state_names
+        assert all(type(c) is int for c in bn.cardinalities.values())
+        for v, t in bn.cpts.items():
+            assert t.flags.c_contiguous and t.tobytes() == checked.cpts[v].tobytes()
+            with pytest.raises(ValueError):
+                t[0, 0] = 0.5
+        assert serialize_network(bn) == serialize_network(checked)
+        e = pick_evidence(bn, 0.3, k)
+        assert _clamped(bn, e) == _clamped(checked, e)
+        keep = set(e) | bn.dag._ancestors(e)
+        got, want = bn.restrict(keep), checked.restrict(keep)
+        assert dag_structure(got.dag) == dag_structure(want.dag)
+        assert got.state_names == want.state_names and got.cardinalities == want.cardinalities
+        assert all(got.cpts[v].tobytes() == want.cpts[v].tobytes() for v in got.node_ids)
+        assert _clamped(got, e) == _clamped(want, e)
+
+
+def test_generators_list_edges_forward():
+    # every family, and a generated network written and read back, lists
+    # its edges from lower to higher node positions, so its graph takes no
+    # heap pass and builds no child lists until they are read
+    for family in FAMILIES:
+        for seed in range(4):
+            bn = gen_network(GenSpec(family, 30, 3.0, seed=seed))
+            for dag in (bn.dag, parse_network(serialize_network(bn)).dag):
+                assert dag._topo is dag.node_ids and "_children" not in vars(dag)
+
+
+def test_gen_cpts_refuses_non_integer_categories():
+    dag = Dag(("A", "B"), [("A", "B")])
+    for bad in (2.0, "2", True, None):
+        with pytest.raises(ParameterError, match="categories must be an integer"):
+            gen_cpts(dag, bad, 0)
+    with pytest.raises(ParameterError, match="at least 2"):
+        gen_cpts(dag, 1, 0)
+    bn = gen_cpts(dag, np.int64(3), 0)
+    assert bn.cardinalities == {"A": 3, "B": 3} and all(type(c) is int for c in bn.cardinalities.values())
+    assert bn.state_names == {"A": ("s0", "s1", "s2"), "B": ("s0", "s1", "s2")}
+
+
+def test_oversized_cpts_are_refused_before_drawing(monkeypatch):
+    # these specs once asked NumPy for 167 GiB and about 10 TiB of tables
+    for spec in (GenSpec("er", 60, 40.0, categories=3), GenSpec("ws", 80, 50.0, categories=3)):
+        gen_dag(spec)  # the calibration, cached, is not what is measured
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="exceed the generator's cap"):
+                gen_network(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+    # the cap is on the total entry count, which a network may reach
+    dag = rand_dag(np.random.default_rng(2103), 12, 0.4)
+    entries = sum(3 ** len(dag.parents(v)) * 3 for v in dag.node_ids)
+    monkeypatch.setattr(randnet, "MAX_CPT_ENTRIES", entries)
+    assert sum(t.size for t in gen_cpts(dag, 3, 5).cpts.values()) == entries
+    monkeypatch.setattr(randnet, "MAX_CPT_ENTRIES", entries - 1)
+    with pytest.raises(ParameterError, match=f"CPTs of {entries} entries"):
+        gen_cpts(dag, 3, 5)
 
 
 def test_generation_is_deterministic():
