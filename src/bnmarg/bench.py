@@ -23,7 +23,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -188,7 +188,7 @@ def load_bench_file(text: str):
     Shape: {"specs": [{...generator fields...}, ...],
             "methods": [...], "budgets": [...], "repetitions": int}
     with methods/budgets/repetitions optional.  Generator fields are the
-    GenSpec constructor arguments; family/n/mb_size are required.
+    GenSpec fields; those without a default (family/n/mb_size) are required.
     """
     try:
         doc = json.loads(text)
@@ -202,24 +202,16 @@ def load_bench_file(text: str):
     raw_specs = doc["specs"]
     if not isinstance(raw_specs, list) or not raw_specs:
         raise DataFormatError('"specs" must be a non-empty list')
+    allowed = {f.name for f in fields(GenSpec)}
+    required = {f.name for f in fields(GenSpec) if f.default is MISSING}
     specs = []
     for i, entry in enumerate(raw_specs):
         if not isinstance(entry, dict):
             raise DataFormatError(f"specs[{i}] must be an object")
-        allowed = {
-            "family",
-            "n",
-            "mb_size",
-            "categories",
-            "evidence_fraction",
-            "seed",
-            "islands",
-            "rewire_prob",
-        }
         unknown = set(entry) - allowed
         if unknown:
             raise DataFormatError(f"specs[{i}] has unknown fields {sorted(unknown)}")
-        missing = {"family", "n", "mb_size"} - set(entry)
+        missing = required - set(entry)
         if missing:
             raise DataFormatError(f"specs[{i}] is missing fields {sorted(missing)}")
         specs.append(GenSpec(**entry))

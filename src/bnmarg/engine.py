@@ -205,19 +205,20 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
 def _whole_graph_sampled(
     bn: CategoricalBN, evidence: Mapping, free: tuple, name: str, sampler: SamplerConfig
 ) -> SubsetReport:
-    """``lbp-is`` on the relevant subgraph, or ``gs`` on the whole network,
-    as one importance estimate with every node of that network as a factor."""
+    """``lbp-is`` on the relevant nodes (the evidence and its ancestors), or
+    ``gs`` on the whole network, as one importance estimate with every node
+    of that scope as a factor."""
     if not evidence:
         return SubsetReport(free, "approx", 0.0, 0, 0.0)
-    net = relevant_subgraph(bn, set(evidence)) if name == "lbp-is" else bn
-    if all(v in evidence for v in net.node_ids):
-        return SubsetReport(free, "approx", evidence_only_factor(net, net.node_ids, evidence), 0, 0.0)
+    nodes = evidence.keys() | bn.dag._ancestors(evidence) if name == "lbp-is" else bn.node_ids
+    if all(map(evidence.__contains__, nodes)):
+        return SubsetReport(free, "approx", evidence_only_factor(bn, bn.dag.sort(nodes), evidence), 0, 0.0)
     rng = np.random.default_rng(int(sampler.seed))
-    clamped = clamp_factors(net, evidence)
+    clamped = clamp_factors(bn, evidence, None if name == "gs" else nodes)
     if name == "lbp-is":
-        q = loopy_bp(net, evidence, sampler, clamped=clamped)
+        q = loopy_bp(bn, evidence, sampler, clamped=clamped)
     else:
-        q = gibbs_proposal(net, evidence, sampler, rng)  # the weights continue its stream
+        q = gibbs_proposal(bn, evidence, sampler, rng, clamped=clamped)  # the weights continue its stream
     return _sampled_report(free, clamped, q, rng, sampler.sample_count)
 
 
@@ -231,10 +232,10 @@ def marginal(
 
     Methods: ``sgs`` (the decomposing estimator), ``jt`` (one junction tree
     over the whole network), ``lbp-is`` (belief-propagation importance
-    sampling on the relevant subgraph), ``gs`` (Gibbs-frequency proposal
-    baseline), ``enum`` (direct summation; capped).  ``jt`` and ``sgs`` share
-    the exact solver; ``lbp-is``, ``gs`` and ``sgs`` share the importance
-    estimate.
+    sampling on the evidence and its ancestors), ``gs`` (Gibbs-frequency
+    proposal baseline), ``enum`` (direct summation; capped).  ``jt`` and
+    ``sgs`` share the exact solver; ``lbp-is``, ``gs`` and ``sgs`` share the
+    clamped factors and the importance estimate.
     """
     cfg = cfg or SgsConfig()
     name = canonical_method(method)

@@ -134,14 +134,6 @@ class CategoricalBN:
     def node_ids(self) -> tuple:
         return self.dag.node_ids
 
-    def parent_strides(self, v) -> tuple:
-        """Mixed-radix stride of each canonical parent in v's row index."""
-        ps = self.dag.parents(v)
-        strides = [1] * len(ps)
-        for i in range(len(ps) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.cardinalities[ps[i + 1]]
-        return tuple(strides)
-
     def row_index(self, v, assignment: Mapping):
         """Row of v's CPT for the parent states in ``assignment``: ints, or
         int arrays of one shape, which give an array of rows.  Horner's rule

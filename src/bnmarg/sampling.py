@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import accumulate, chain, compress, repeat
+from operator import mul
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -550,92 +551,84 @@ def importance_estimate(
     )
 
 
-def _gibbs_plan(bn: CategoricalBN, free: list):
-    """Flattened index structures for the single-site update loop."""
-    cols = {v: i for i, v in enumerate(bn.node_ids)}
-    plan = []
-    for v in free:
-        own = bn.cpts[v].ravel().tolist()
-        card = bn.cardinalities[v]
-        pcols = [cols[p] for p in bn.dag.parents(v)]
-        pstrides = list(bn.parent_strides(v))
-        kids = []
-        for c in bn.dag.children(v):
-            flat = bn.cpts[c].ravel().tolist()
-            ccard = bn.cardinalities[c]
-            ks = []
-            vstride = 0
-            for p, stride in zip(bn.dag.parents(c), bn.parent_strides(c)):
-                if p == v:
-                    vstride = stride
-                else:
-                    ks.append((cols[p], stride))
-            kids.append((flat, ccard, cols[c], ks, vstride))
-        plan.append((cols[v], own, card, pcols, pstrides, kids))
-    return cols, plan
-
-
 def gibbs_proposal(
     bn: CategoricalBN,
     evidence: Mapping,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     burn_in: int = 100,
+    clamped: Optional[ClampedFactors] = None,
 ) -> ImportanceDistribution:
     """Factorized proposal from the state frequencies of a Gibbs chain.
 
-    Starts from one forward draw with the evidence clamped, runs
-    systematic-scan single-site Gibbs over every non-evidence node of ``bn``
-    (Markov-blanket conditionals), discards ``burn_in`` sweeps, records
-    per-node state frequencies over cfg.sample_count further sweeps, and
-    floors and normalizes each node's own states.  Every draw comes from
-    ``rng``, which the ``gs`` baseline goes on to use for its importance
-    samples.
+    Starts from one forward draw of ``bn``, runs systematic-scan single-site
+    Gibbs over every non-evidence node (Markov-blanket conditionals),
+    discards ``burn_in`` sweeps, records per-node state frequencies over
+    cfg.sample_count further sweeps, and floors and normalizes each node's
+    own states.  Every draw comes from ``rng``, which the ``gs`` baseline
+    goes on to use for its importance samples.
+
+    The chain reads the factors :func:`clamp_factors` builds from ``bn`` and
+    ``evidence``, with the evidence folded in; a caller that goes on to
+    weight draws with :func:`importance_estimate` builds them once and
+    passes them as ``clamped``, and ``evidence`` is then not read.  A node's
+    conditional multiplies its own factor's entries first, then those of
+    its children's factors in node order.  With every node observed the
+    proposal is empty.
     """
     require_integer("burn_in", burn_in, ArgumentError)
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
-    free = [v for v in bn.node_ids if v not in evidence]
-    state = list(sample_forward_array(bn, 1, rng)[0])
-    cols, plan = _gibbs_plan(bn, free)
-    for v, s in evidence.items():
-        state[cols[v]] = int(s)
+    start = sample_forward_array(bn, 1, rng)[0]
+    if clamped is None:
+        if all(map(evidence.__contains__, bn.node_ids)):
+            return ImportanceDistribution(nodes=(), probs=np.zeros((0, 0)))
+        clamped = clamp_factors(bn, evidence)
+    free, index = clamped.free, bn.dag._index
+    state = start[[index[v] for v in free]].tolist()
+
+    # per free node, each factor over it: (node order of the factor, its
+    # flat table, the (free node, stride) of its other axes, its own stride)
+    touching = [[] for _ in free]
+    for tables, edges, rows in clamped.groups:
+        shape = tables.shape[1:]
+        strides = [math.prod(shape[j + 1 :]) for j in range(len(shape))]
+        for table, nodes, f in zip(tables, clamped.edge_var[edges].tolist(), rows.tolist()):
+            flat = table.ravel().tolist()
+            axes = list(zip(nodes, strides))
+            for i, stride in axes:
+                touching[i].append((f, flat, [a for a in axes if a[0] != i], stride))
+    plan = []
+    for v, card, factors in zip(free, clamped.cards.tolist(), touching):
+        own = index[v]
+        factors.sort(key=lambda t: (t[0] != own, t[0]))
+        plan.append((card, [t[1:] for t in factors]))
 
     m = cfg.sample_count
-    cards = np.array([bn.cardinalities[v] for v in free], dtype=int)
-    live = np.arange(cards.max(initial=0)) < cards[:, None]
-    rows, free_cols = np.arange(len(free)), [cols[v] for v in free]
+    live = np.arange(clamped.width) < clamped.cards[:, None]
+    rows = np.arange(len(free))
     counts = np.zeros(live.shape)
     for sweep in range(burn_in + m):
-        u = rng.random(len(plan))
-        for k, (col, own, card, pcols, pstrides, kids) in enumerate(plan):
-            row = 0
-            for pc, st in zip(pcols, pstrides):
-                row += st * state[pc]
-            base = row * card
-            total = 0.0
-            weights = []
-            for s in range(card):
-                w = own[base + s]
-                for flat, ccard, ccol, ks, vstride in kids:
-                    crow = vstride * s
-                    for pc, st in ks:
-                        crow += st * state[pc]
-                    w *= flat[crow * ccard + state[ccol]]
-                weights.append(w)
-                total += w
-            if total > 0.0:
-                target = u[k] * total
-                acc = 0.0
+        u = rng.random(len(plan)).tolist()
+        for k, (card, factors) in enumerate(plan):
+            weights = None
+            for flat, others, stride in factors:
+                at = 0
+                for j, st in others:
+                    at += st * state[j]
+                entries = flat[at : at + (card - 1) * stride + 1 : stride]
+                weights = entries if weights is None else list(map(mul, weights, entries))
+            cum = list(accumulate(weights))
+            if cum[-1] > 0.0:
+                target = u[k] * cum[-1]
                 pick = card - 1
-                for s in range(card):
-                    acc += weights[s]
+                for s, acc in enumerate(cum):
                     if acc >= target:
                         pick = s
                         break
-                state[col] = pick
+                state[k] = pick
         if sweep >= burn_in:
-            counts[rows, [state[c] for c in free_cols]] += 1
+            counts[rows, state] += 1
 
     f = np.maximum(counts / m, cfg.belief_floor) * live
-    return ImportanceDistribution(nodes=tuple(free), probs=f / f.sum(axis=1, keepdims=True))
+    return ImportanceDistribution(nodes=free, probs=f / f.sum(axis=1, keepdims=True))

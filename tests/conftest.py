@@ -19,7 +19,8 @@ from bnmarg.decompose import SubsetBoundary
 from bnmarg.errors import ArgumentError, CycleError, UnknownNodeError
 from bnmarg.graphs import Dag, moral_graph, triangulate
 from bnmarg.junction import _collect_schedule, _Plan, _spanning_tree
-from bnmarg.network import CategoricalBN
+from bnmarg.network import CategoricalBN, sample_forward_array
+from bnmarg.sampling import ImportanceDistribution
 
 
 def rand_dag(rng, n, p):
@@ -158,6 +159,75 @@ def reference_log_prob(q, draws):
     for t in np.take_along_axis(log_p, draws, axis=1):
         total = total + t
     return total
+
+
+def parent_strides(bn, v):
+    """Mixed-radix stride of each canonical parent in v's CPT row index."""
+    ps = bn.dag.parents(v)
+    strides = [1] * len(ps)
+    for i in range(len(ps) - 2, -1, -1):
+        strides[i] = strides[i + 1] * bn.cardinalities[ps[i + 1]]
+    return strides
+
+
+def reference_gibbs_proposal(bn, evidence, cfg, rng, burn_in=100):
+    """The Gibbs-frequency proposal read straight off the CPTs: a node's
+    conditional is its own CPT entry times each child's, children in node
+    order, every row index formed from parent strides and the chain state
+    with the evidence written in.  The chain that ``gibbs_proposal`` ran
+    before it read the clamped factors."""
+    free = [v for v in bn.node_ids if v not in evidence]
+    cols = {v: i for i, v in enumerate(bn.node_ids)}
+    state = list(sample_forward_array(bn, 1, rng)[0])
+    for v, s in evidence.items():
+        state[cols[v]] = int(s)
+    plan = []
+    for v in free:
+        kids = []
+        for c in bn.dag.children(v):
+            ks, vstride = [], 0
+            for p, stride in zip(bn.dag.parents(c), parent_strides(bn, c)):
+                if p == v:
+                    vstride = stride
+                else:
+                    ks.append((cols[p], stride))
+            kids.append((bn.cpts[c].ravel().tolist(), bn.cardinalities[c], cols[c], ks, vstride))
+        pcols = [(cols[p], st) for p, st in zip(bn.dag.parents(v), parent_strides(bn, v))]
+        plan.append((cols[v], bn.cpts[v].ravel().tolist(), bn.cardinalities[v], pcols, kids))
+
+    m = cfg.sample_count
+    cards = np.array([bn.cardinalities[v] for v in free], dtype=int)
+    live = np.arange(cards.max(initial=0)) < cards[:, None]
+    counts = np.zeros(live.shape)
+    for sweep in range(burn_in + m):
+        u = rng.random(len(plan))
+        for k, (col, own, card, pcols, kids) in enumerate(plan):
+            base = sum(st * state[pc] for pc, st in pcols) * card
+            total = 0.0
+            weights = []
+            for s in range(card):
+                w = own[base + s]
+                for flat, ccard, ccol, ks, vstride in kids:
+                    crow = vstride * s
+                    for pc, st in ks:
+                        crow += st * state[pc]
+                    w *= flat[crow * ccard + state[ccol]]
+                weights.append(w)
+                total += w
+            if total > 0.0:
+                target = u[k] * total
+                acc = 0.0
+                pick = card - 1
+                for s in range(card):
+                    acc += weights[s]
+                    if acc >= target:
+                        pick = s
+                        break
+                state[col] = pick
+        if sweep >= burn_in:
+            counts[np.arange(len(free)), [state[cols[v]] for v in free]] += 1
+    f = np.maximum(counts / m, cfg.belief_floor) * live
+    return ImportanceDistribution(nodes=tuple(free), probs=f / f.sum(axis=1, keepdims=True))
 
 
 def _all_paths(dag, start, goal):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -160,6 +162,19 @@ def test_load_bench_file():
     assert methods == ("sgs", "gs")
     assert budgets == (100,)
     assert reps == 2
+
+
+def test_load_bench_file_accepts_every_genspec_field():
+    spec = GenSpec("ws", 10, 2.0, categories=3, evidence_fraction=0.2, seed=4, islands=2, rewire_prob=0.3)
+    # every field off its default, so a field the loader dropped would show
+    assert all(getattr(spec, f.name) != f.default for f in dataclasses.fields(GenSpec))
+    fields = dataclasses.asdict(spec)
+    (got,), _, _, _ = load_bench_file(json.dumps({"specs": [fields]}))
+    assert got == spec
+    with pytest.raises(DataFormatError, match=r"^specs\[0\] is missing fields \['family', 'mb_size', 'n'\]$"):
+        load_bench_file('{"specs": [{"seed": 1}]}')
+    with pytest.raises(DataFormatError, match=r"^specs\[0\] has unknown fields \['bogus', 'm'\]$"):
+        load_bench_file(json.dumps({"specs": [{**fields, "m": 1, "bogus": 2}]}))
 
 
 def test_load_bench_file_errors():

@@ -20,6 +20,7 @@ from bnmarg.network import (
 
 from conftest import (
     brute_marginal,
+    parent_strides,
     rand_bn,
     rand_evidence,
     reference_sample_forward_array,
@@ -148,7 +149,7 @@ def test_joint_probability_against_lookup_loop():
         expected = 1.0
         for v in bn.node_ids:
             row = 0
-            for p, stride in zip(bn.dag.parents(v), bn.parent_strides(v)):
+            for p, stride in zip(bn.dag.parents(v), parent_strides(bn, v)):
                 row += stride * x[p]
             expected *= float(bn.cpts[v][row, x[v]])
         assert joint_probability(bn, x) == pytest.approx(expected, rel=1e-12)

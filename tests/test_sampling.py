@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 
 from bnmarg import sampling
 from bnmarg.decompose import decompose, relevant_subgraph
-from bnmarg.engine import SgsConfig, marginal
+from bnmarg.engine import SgsConfig, evidence_only_factor, marginal
 from bnmarg.errors import ArgumentError, InvalidAssignmentError
 from bnmarg.graphs import Dag
 from bnmarg.network import CategoricalBN, enumerate_marginal, log_joint_probability, sample_forward_array
@@ -28,6 +29,7 @@ from conftest import (
     family_table,
     rand_bn,
     rand_evidence,
+    reference_gibbs_proposal,
     reference_log_prob,
     reference_log_weights,
     reordered,
@@ -890,6 +892,78 @@ def test_gibbs_burn_in_validation():
         for k in (np.int16(2), 2)
     )
     assert a.nodes == b.nodes and a.probs.tobytes() == b.probs.tobytes()
+
+
+def _networks(rng, count):
+    """Small networks of cardinalities 2-5: plain, with zero CPT entries,
+    and reordered so that children may precede their parents."""
+    for trial in range(count):
+        n = int(rng.integers(2, 11))
+        bn = rand_bn(rng, n, 0.4, cards=(2, 3, 4, 5)) if trial % 3 == 0 else sparse_bn(rng, n)
+        yield reordered(rng, bn) if trial % 3 == 2 else bn
+
+
+def test_gibbs_chain_on_clamped_factors_matches_the_cpt_chain():
+    # the chain reads the evidence-clamped factor stacks; its conditionals
+    # multiply the same CPT entries in the same order as a chain that
+    # indexes the CPTs with parent strides, so every pick and frequency
+    # is the same
+    rng = np.random.default_rng(2203)
+    seen = Counter()
+    for bn in _networks(rng, 150):
+        e = rand_evidence(rng, bn, int(rng.integers(0, len(bn))))
+        cfg = SamplerConfig(sample_count=int(rng.integers(1, 40)), belief_floor=1e-3)
+        burn_in = int(rng.integers(0, 8))
+        seed = int(rng.integers(1 << 30))
+        got = gibbs_proposal(bn, e, cfg, np.random.default_rng(seed), burn_in)
+        want = reference_gibbs_proposal(bn, e, cfg, np.random.default_rng(seed), burn_in)
+        assert got.nodes == want.nodes and got.probs.tobytes() == want.probs.tobytes()
+        index = bn.dag._index
+        seen["child before parent"] += any(index[p] > index[v] for v in bn.node_ids for p in bn.dag.parents(v))
+        seen["zero entry"] += any(not t.all() for t in bn.cpts.values())
+        seen["cardinality 5"] += 5 in bn.cardinalities.values()
+    assert min(seen.values()) > 20, seen
+
+
+def test_gibbs_with_every_node_observed_returns_an_empty_proposal():
+    bn = rand_bn(np.random.default_rng(7), 5, 0.5)
+    e = {v: 0 for v in bn.node_ids}
+    with pytest.raises(ArgumentError, match="no free nodes"):
+        clamp_factors(bn, e)
+    cfg = SamplerConfig(sample_count=5)
+    q = gibbs_proposal(bn, e, cfg, np.random.default_rng(1))
+    want = reference_gibbs_proposal(bn, e, cfg, np.random.default_rng(1))
+    assert q.nodes == want.nodes == () and q.probs.shape == want.probs.shape == (0, 0)
+
+
+def test_lbp_is_matches_the_restricted_network_computation():
+    # lbp-is clamps the network's own factors over the evidence and its
+    # ancestors; on the restriction to those nodes the free order, factors,
+    # proposal and draws are the same, so the estimate is too
+    def on_restriction(bn, e, sampler):
+        net = relevant_subgraph(bn, set(e))
+        if all(v in e for v in net.node_ids):
+            return evidence_only_factor(net, net.node_ids, e), 0.0
+        clamped = clamp_factors(net, e)
+        q = loopy_bp(net, e, sampler, clamped=clamped)
+        res = importance_estimate(clamped, q, np.random.default_rng(sampler.seed), sampler.sample_count)
+        return res.log_estimate, res.weight_variance
+
+    rng = np.random.default_rng(2204)
+    seen = Counter()
+    for bn in _networks(rng, 120):
+        sampler = SamplerConfig(sample_count=int(rng.integers(1, 300)), seed=int(rng.integers(1 << 30)))
+        root = next(v for v in bn.node_ids if not bn.dag.parents(v))
+        for e in (rand_evidence(rng, bn, int(rng.integers(1, len(bn) + 1))), {root: 0}):
+            est = marginal(bn, e, "lbp-is", SgsConfig(sampler=sampler))
+            (report,) = est.per_subset
+            want = on_restriction(bn, e, sampler)
+            assert (repr(est.log_value), repr(report.weight_variance)) == tuple(map(repr, want))
+            relevant = relevant_subgraph(bn, set(e)).node_ids
+            seen["nodes outside"] += len(relevant) < len(bn)
+            seen["all relevant observed"] += all(v in e for v in relevant)
+            seen["sampled"] += report.sample_count > 0
+    assert min(seen.values()) > 40, seen
 
 
 def test_estimators_are_deterministic():
