@@ -218,7 +218,7 @@ def _whole_graph_sampled(
     if name == "lbp-is":
         q = loopy_bp(bn, evidence, sampler, clamped=clamped)
     else:
-        q = gibbs_proposal(bn, evidence, sampler, rng, clamped=clamped)  # the weights continue its stream
+        q = gibbs_proposal(bn, clamped, sampler, rng)  # the weights continue its stream
     return _sampled_report(free, clamped, q, rng, sampler.sample_count)
 
 

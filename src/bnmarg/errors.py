@@ -42,16 +42,9 @@ class InvalidAssignmentError(BnmargError):
 
 
 class CapacityError(BnmargError):
-    """A table or enumeration would exceed the configured size cap.
-
-    A refused clique carries its members' positions in the node list it
-    was planned over as ``clique``."""
+    """A table or enumeration would exceed the configured size cap."""
 
     code = "capacity"
-
-    def __init__(self, message: str, clique=()):
-        super().__init__(message)
-        self.clique = tuple(clique)
 
 
 class InternalConsistencyError(BnmargError):

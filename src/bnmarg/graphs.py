@@ -406,6 +406,5 @@ def chordal_cliques(adjacency: Sequence[set]) -> Optional[tuple]:
 def _check_cap(node_ids: Sequence[NodeId], clique: set, cards: Sequence[int], table_cap: float) -> None:
     """Raise CapacityError if the clique's joint state count exceeds the cap."""
     if math.prod(cards[u] for u in clique) > table_cap:
-        clique = sorted(clique)
-        members = tuple(node_ids[u] for u in clique)
-        raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)", clique)
+        members = tuple(node_ids[u] for u in sorted(clique))
+        raise CapacityError(f"clique {members} exceeds table cap ({table_cap} joint states)")

@@ -60,7 +60,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, InternalConsistencyError, UnknownNodeError
-from .graphs import _check_cap, chordal_cliques, moral_graph, triangulate
+from .graphs import chordal_cliques, moral_graph, triangulate
 from .network import CategoricalBN
 
 DEFAULT_TABLE_CAP = 2**20
@@ -303,9 +303,8 @@ def build_junction_tree(
     before the rest of the graph is eliminated and before any table is
     allocated.  Each scope node's family is read off its parent list once,
     as positions in the scope; the families key the plan cache and give the
-    moral graph and each CPT's placement.  A scope the cache cannot key is
-    planned without it; one the cap refuses is planned once, and the
-    refusal names the clique in the scope's own node names.  ``nodes`` and
+    moral graph and each CPT's placement.  A scope the cache cannot key or
+    refuses is planned without it, in its own names.  ``nodes`` and
     ``factor_nodes`` may be any iterables; repeats count once.
     """
     dag = bn.dag
@@ -336,15 +335,13 @@ def build_junction_tree(
         families.append(i)
 
     cards = list(map(bn.cardinalities.__getitem__, scope))
-    plan = refused = None
+    plan = None
     if len(scope) <= PLAN_NODE_LIMIT and max(cards) < 256:
         key = bytes([len(scope), *is_factor, *cards, *families])
         try:
             plan = _Plan._make(pickle.loads(_plan(key, table_cap)))
-        except CapacityError as err:
-            refused = err.clique
-    if refused is not None:  # the same refusal, in the scope's own node names
-        _check_cap(scope, refused, cards, table_cap)
+        except CapacityError:
+            pass  # refused again below, in the scope's own node names
     if plan is None:
         plan = _build_plan(scope, _split_families(families), is_factor, cards, table_cap)
     cpts = bn.cpts

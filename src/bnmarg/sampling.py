@@ -553,37 +553,32 @@ def importance_estimate(
 
 def gibbs_proposal(
     bn: CategoricalBN,
-    evidence: Mapping,
+    clamped: ClampedFactors,
     cfg: SamplerConfig,
     rng: np.random.Generator,
     burn_in: int = 100,
-    clamped: Optional[ClampedFactors] = None,
 ) -> ImportanceDistribution:
     """Factorized proposal from the state frequencies of a Gibbs chain.
 
     Starts from one forward draw of ``bn``, runs systematic-scan single-site
-    Gibbs over every non-evidence node (Markov-blanket conditionals),
+    Gibbs over every free node of ``clamped`` (Markov-blanket conditionals),
     discards ``burn_in`` sweeps, records per-node state frequencies over
     cfg.sample_count further sweeps, and floors and normalizes each node's
     own states.  Every draw comes from ``rng``, which the ``gs`` baseline
     goes on to use for its importance samples.
 
-    The chain reads the factors :func:`clamp_factors` builds from ``bn`` and
-    ``evidence``, with the evidence folded in; a caller that goes on to
-    weight draws with :func:`importance_estimate` builds them once and
-    passes them as ``clamped``, and ``evidence`` is then not read.  A node's
-    conditional multiplies its own factor's entries first, then those of
-    its children's factors in node order.  With every node observed the
-    proposal is empty.
+    The chain reads ``clamped``, the factors ``clamp_factors(bn, evidence)``
+    builds with the evidence folded in, which the ``gs`` baseline goes on
+    to weight its draws with.  A node's conditional multiplies its own
+    factor's entries first, then those of its children's factors in node
+    order.  Factors over less than the whole of ``bn`` are refused.
     """
     require_integer("burn_in", burn_in, ArgumentError)
     if burn_in < 0:
         raise ArgumentError("burn_in must be non-negative")
+    if clamped.size != len(bn):
+        raise ArgumentError("the Gibbs chain needs a factor for every node of the network")
     start = sample_forward_array(bn, 1, rng)[0]
-    if clamped is None:
-        if all(map(evidence.__contains__, bn.node_ids)):
-            return ImportanceDistribution(nodes=(), probs=np.zeros((0, 0)))
-        clamped = clamp_factors(bn, evidence)
     free, index = clamped.free, bn.dag._index
     state = start[[index[v] for v in free]].tolist()
 

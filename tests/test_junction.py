@@ -214,30 +214,6 @@ def test_capacity_error():
         build_junction_tree(bn, table_cap=16)
 
 
-def test_a_refused_scope_is_planned_once(monkeypatch):
-    # the cached planner's refusal carries the clique's positions and is
-    # raised again in the scope's own names, without planning it twice
-    calls = Counter()
-
-    def counted(name):
-        f = getattr(junction, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return f(*args)
-
-        return wrapper
-
-    for name in ("chordal_cliques", "triangulate"):
-        monkeypatch.setattr(junction, name, counted(name))
-    bn = rand_bn(np.random.default_rng(3), 12, 1.0, cards=(2,))
-    scope = bn.node_ids[2:]  # positions 0-9 in the scope, not in the network
-    with pytest.raises(CapacityError) as refused:
-        build_junction_tree(bn, scope, (), table_cap=512)
-    assert str(refused.value) == f"clique {scope} exceeds table cap (512 joint states)"
-    assert calls == {"chordal_cliques": 1, "triangulate": 1}
-
-
 def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
     # the cap is checked on each elimination clique as it forms; it must
     # refuse exactly the scopes whose whole triangulation has a maximal clique

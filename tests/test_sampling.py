@@ -837,7 +837,7 @@ def test_gibbs_proposal_floors_only_own_states():
     bn = rand_bn(rng, 9, 0.4, cards=(2, 3, 5))
     e = rand_evidence(rng, bn, 2)
     cfg = SamplerConfig(sample_count=40, belief_floor=1e-3)
-    q = gibbs_proposal(bn, e, cfg, np.random.default_rng(1), burn_in=5)
+    q = gibbs_proposal(bn, clamp_factors(bn, e), cfg, np.random.default_rng(1), burn_in=5)
     assert q.nodes == tuple(v for v in bn.node_ids if v not in e)
     cards = [bn.cardinalities[v] for v in q.nodes]
     assert q.probs.shape == (len(q.nodes), max(cards)) and min(cards) < max(cards)
@@ -871,7 +871,7 @@ def test_gibbs_stuck_at_a_zero_probability_start_returns_zero():
     draw = sample_forward_array(bn, 1, np.random.default_rng(168))[0].tolist()
     start = {**dict(zip(bn.node_ids, draw)), **e}
     assert log_joint_probability(bn, start) == -math.inf
-    q = gibbs_proposal(bn, e, sampler, np.random.default_rng(168))
+    q = gibbs_proposal(bn, clamp_factors(bn, e), sampler, np.random.default_rng(168))
     assert all(p[start[v]] > 1 - 1e-5 for v, p in zip(q.nodes, q.probs))
     cfg = SgsConfig(n_max=0, sampler=sampler)
     assert marginal(bn, e, "gs", cfg).log_value == -math.inf
@@ -882,13 +882,14 @@ def test_gibbs_stuck_at_a_zero_probability_start_returns_zero():
 def test_gibbs_burn_in_validation():
     rng = np.random.default_rng(1)
     bn = rand_bn(rng, 4, 0.4)
+    clamped = clamp_factors(bn, {"n0": 0})
     with pytest.raises(ArgumentError):
-        gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=-1)
+        gibbs_proposal(bn, clamped, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=-1)
     for bad in (True, 2.5, 2.0, "3"):
         with pytest.raises(ArgumentError, match="burn_in must be an integer"):
-            gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=bad)
+            gibbs_proposal(bn, clamped, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=bad)
     a, b = (
-        gibbs_proposal(bn, {"n0": 0}, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=k)
+        gibbs_proposal(bn, clamped, SamplerConfig(sample_count=5), np.random.default_rng(0), burn_in=k)
         for k in (np.int16(2), 2)
     )
     assert a.nodes == b.nodes and a.probs.tobytes() == b.probs.tobytes()
@@ -915,7 +916,7 @@ def test_gibbs_chain_on_clamped_factors_matches_the_cpt_chain():
         cfg = SamplerConfig(sample_count=int(rng.integers(1, 40)), belief_floor=1e-3)
         burn_in = int(rng.integers(0, 8))
         seed = int(rng.integers(1 << 30))
-        got = gibbs_proposal(bn, e, cfg, np.random.default_rng(seed), burn_in)
+        got = gibbs_proposal(bn, clamp_factors(bn, e), cfg, np.random.default_rng(seed), burn_in)
         want = reference_gibbs_proposal(bn, e, cfg, np.random.default_rng(seed), burn_in)
         assert got.nodes == want.nodes and got.probs.tobytes() == want.probs.tobytes()
         index = bn.dag._index
@@ -925,15 +926,21 @@ def test_gibbs_chain_on_clamped_factors_matches_the_cpt_chain():
     assert min(seen.values()) > 20, seen
 
 
-def test_gibbs_with_every_node_observed_returns_an_empty_proposal():
+def test_gibbs_refuses_factors_over_part_of_the_network():
+    # the chain finds a node's own factor by its position in the network,
+    # so factors over a smaller scope or a subset of the factor nodes are
+    # refused before anything is drawn; with every node observed there are
+    # no factors to pass, and gs answers with the joint instead
     bn = rand_bn(np.random.default_rng(7), 5, 0.5)
-    e = {v: 0 for v in bn.node_ids}
-    with pytest.raises(ArgumentError, match="no free nodes"):
-        clamp_factors(bn, e)
     cfg = SamplerConfig(sample_count=5)
-    q = gibbs_proposal(bn, e, cfg, np.random.default_rng(1))
-    want = reference_gibbs_proposal(bn, e, cfg, np.random.default_rng(1))
-    assert q.nodes == want.nodes == () and q.probs.shape == want.probs.shape == (0, 0)
+    e = {bn.node_ids[0]: 0}
+    for clamped in (clamp_factors(bn, e, bn.node_ids[:-1]), clamp_factors(bn, e, None, bn.node_ids[1:])):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ArgumentError, match="factor for every node"):
+            gibbs_proposal(bn, clamped, cfg, rng)
+        assert rng.random() == np.random.default_rng(1).random()
+    with pytest.raises(ArgumentError, match="no free nodes"):
+        clamp_factors(bn, {v: 0 for v in bn.node_ids})
 
 
 def test_lbp_is_matches_the_restricted_network_computation():
