@@ -36,7 +36,6 @@ from .junction import build_junction_tree
 from .netformat import parse_dataset, parse_network, serialize_dataset, serialize_network
 from .network import (
     CategoricalBN,
-    enumerate_marginal,
     sample_forward,
     validate,
     validate_evidence,
@@ -78,7 +77,6 @@ __all__ = [
     "classify",
     "classify_drop_missing",
     "decompose",
-    "enumerate_marginal",
     "find_subsets",
     "gen_cpts",
     "gen_dag",

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .engine import SgsConfig, marginal_sgs
 from .errors import ClassificationError, DomainError
-from .network import CategoricalBN, log_joint_probability
+from .network import CategoricalBN, _log_sum_exp, log_joint_probability
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,10 @@ def _resolve_evidence(record: PartialRecord, bn: CategoricalBN, model_name: str)
 
 
 def _posteriors(scores: Sequence[ModelScore]) -> ClassificationResult:
-    from scipy.special import logsumexp  # imported here: it is most of the package's import time
-
+    """Posteriors under a uniform prior over the models, normalised with
+    :func:`network._log_sum_exp` of the log likelihoods."""
     logs = [s.log_likelihood for s in scores]
-    norm = float(logsumexp(logs))
+    norm = _log_sum_exp(logs)
     if math.isinf(norm):
         # every model assigns probability zero: fall back to a uniform posterior
         post = [1.0 / len(scores)] * len(scores)

@@ -291,16 +291,42 @@ def _log_cpt(t: np.ndarray) -> np.ndarray:
         return np.log(t)
 
 
+def _log_sum_exp(values) -> float:
+    """Log of the sum of the exponentials of a 1-d sequence of reals.
+
+    Bit for bit ``scipy.special.logsumexp`` 1.17.1: the entries equal to the
+    maximum stay out of the shifted sum, which goes through ``log1p``
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).  A result
+    that is not finite is summed directly, so all ``-inf`` gives ``-inf``,
+    as does an empty input.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        at_top = a == top
+        m = float(np.count_nonzero(at_top))
+        s = np.add.reduce(np.exp(np.where(at_top, -np.inf, a) - top))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.add.reduce(np.exp(a)))
+    return float(out)
+
+
 def log_enumerate_marginal(
     bn: CategoricalBN, e: Mapping, bits_cap: float = DEFAULT_ENUM_BITS_CAP
 ) -> float:
     """Log marginal probability of the evidence by direct summation.
 
     Sums the joint over every configuration of the free (non-evidence)
-    variables.  Deliberately independent of the junction-tree and sampling
-    machinery: this is the ground-truth oracle the rest of the package is
-    checked against.  Free state spaces above ``bits_cap`` binary-variable
-    equivalents raise CapacityError.
+    variables, in log space with :func:`_log_sum_exp`.  Deliberately
+    independent of the junction-tree and sampling machinery: this is the
+    ground-truth oracle the rest of the package is checked against.  Free
+    state spaces above ``bits_cap`` binary-variable equivalents raise
+    CapacityError.
     """
     validate_evidence(bn, e)
     free = [v for v in bn.node_ids if v not in e]
@@ -328,19 +354,10 @@ def log_enumerate_marginal(
     for v in free:
         states[v] = (idx // strides[v]) % bn.cardinalities[v]
 
-    from scipy.special import logsumexp  # imported here: it is most of the package's import time
-
     logp = np.zeros(n_cfg, dtype=float)
     for v in bn.node_ids:
         logp += _log_cpt(bn.cpts[v])[bn.row_index(v, states), states[v]]
-    return float(logsumexp(logp))
-
-
-def enumerate_marginal(
-    bn: CategoricalBN, e: Mapping, bits_cap: float = DEFAULT_ENUM_BITS_CAP
-) -> float:
-    """Marginal probability of the evidence by direct summation."""
-    return math.exp(log_enumerate_marginal(bn, e, bits_cap))
+    return _log_sum_exp(logp)
 
 
 def sample_forward_array(bn: CategoricalBN, n: int, rng) -> np.ndarray:

@@ -39,7 +39,7 @@ from bnmarg.netformat import parse_network, serialize_network
 from bnmarg.network import (
     CategoricalBN,
     derive_seed,
-    enumerate_marginal,
+    log_enumerate_marginal,
     sample_forward,
 )
 from bnmarg.randnet import GenSpec, gen_network, pick_evidence
@@ -100,7 +100,7 @@ def _enum_value(small_corpus, idx: int) -> float:
     cache = small_corpus["enum"]
     if idx not in cache:
         bn, e = small_corpus["instances"][idx]
-        cache[idx] = enumerate_marginal(bn, e)
+        cache[idx] = math.exp(log_enumerate_marginal(bn, e))
     return cache[idx]
 
 

@@ -57,9 +57,52 @@ def test_readme_family_aliases_are_accepted():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special is most of the package's import time; the two functions
-    # that call logsumexp import it when they first run
-    code = "import sys, bnmarg; print(sorted(m for m in sys.modules if m.startswith('scipy.special')))"
+    # the package computes its log-sum-exp itself and imports no scipy, not
+    # even optionally where scipy is installed (the test below hides it)
+    code = "import sys, bnmarg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+RUN_TIME_PATH = """
+import sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from pathlib import Path
+import bnmarg
+from bnmarg.cli import main
+
+tmp = Path(sys.argv[1])
+models = [
+    (f"m{seed}", bnmarg.gen_network(bnmarg.GenSpec(family="er", n=12, mb_size=2.0, seed=seed)))
+    for seed in (1, 2)
+]
+bn = models[0][1]
+evidence = bnmarg.pick_evidence(bn, 0.4, 3)
+for method in bnmarg.METHODS:
+    bnmarg.marginal(bn, evidence, method)
+states = {v: bn.state_names[v][s] for v, s in evidence.items()}
+bnmarg.classify(bnmarg.PartialRecord(observed=states), models)
+full = {v: names[0] for v, names in bn.state_names.items()}
+bnmarg.classify_drop_missing(bnmarg.PartialRecord(observed=full), models)
+bnmarg.roc_auc([0.1, 0.7, 0.4], [0, 1, 1])
+for name, model in models:
+    (tmp / f"{name}.bn").write_text(bnmarg.serialize_network(model), encoding="utf-8")
+rows = [",".join(bn.node_ids), ",".join(states.get(v, "?") for v in bn.node_ids), ",".join(full[v] for v in bn.node_ids)]
+(tmp / "data.csv").write_text("\\n".join(rows) + "\\n", encoding="utf-8")
+sys.exit(main([
+    "classify", "--models", f"{tmp / 'm1.bn'},{tmp / 'm2.bn'}",
+    "--data", str(tmp / "data.csv"), "--out", str(tmp / "scored.csv"),
+]))
+"""
+
+
+def test_run_time_path_imports_no_scipy(tmp_path):
+    # scipy is not a dependency of the package: every estimator, the
+    # classifier and the CLI run where it cannot be imported
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_TIME_PATH, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "scored.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 3 and all(row.split(",")[1] in ("m1", "m2") for row in rows[1:]), rows

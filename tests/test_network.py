@@ -10,7 +10,7 @@ from bnmarg.graphs import Dag
 from bnmarg.network import (
     DRAW_BLOCK,
     CategoricalBN,
-    enumerate_marginal,
+    _log_sum_exp,
     log_enumerate_marginal,
     log_joint_probability,
     sample_forward,
@@ -168,10 +168,10 @@ def test_joint_sums_to_one():
 
 def test_enumerate_marginal_edges():
     bn = two_node()
-    assert enumerate_marginal(bn, {}) == pytest.approx(1.0, abs=1e-12)
+    assert math.exp(log_enumerate_marginal(bn, {})) == pytest.approx(1.0, abs=1e-12)
     full = {"A": 1, "B": 0}
-    assert enumerate_marginal(bn, full) == pytest.approx(joint_probability(bn, full))
-    s = sum(enumerate_marginal(bn, {"A": k}) for k in range(2))
+    assert math.exp(log_enumerate_marginal(bn, full)) == pytest.approx(joint_probability(bn, full))
+    s = sum(math.exp(log_enumerate_marginal(bn, {"A": k})) for k in range(2))
     assert s == pytest.approx(1.0, abs=1e-12)
 
 
@@ -180,20 +180,20 @@ def test_enumerate_marginal_matches_brute_force():
     for _ in range(15):
         bn = rand_bn(rng, 7, 0.3)
         e = rand_evidence(rng, bn, int(rng.integers(1, 5)))
-        assert enumerate_marginal(bn, e) == pytest.approx(brute_marginal(bn, e), rel=1e-10)
+        assert math.exp(log_enumerate_marginal(bn, e)) == pytest.approx(brute_marginal(bn, e), rel=1e-10)
 
 
 def test_enumerate_marginal_consistency_properties():
     rng = np.random.default_rng(55)
     bn = rand_bn(rng, 6, 0.3)
     e = rand_evidence(rng, bn, 2)
-    base = enumerate_marginal(bn, e)
+    base = math.exp(log_enumerate_marginal(bn, e))
     v = next(u for u in bn.node_ids if u not in e)
     total = 0.0
     for s in range(bn.cardinalities[v]):
         extended = dict(e)
         extended[v] = s
-        p = enumerate_marginal(bn, extended)
+        p = math.exp(log_enumerate_marginal(bn, extended))
         assert p <= base + 1e-12  # extension never increases probability
         total += p
     assert total == pytest.approx(base, rel=1e-10)
@@ -210,14 +210,52 @@ def test_enumerate_marginal_capacity():
         log_enumerate_marginal(small, {}, bits_cap=3.0)
 
 
+def _log_sum_exp_corpus():
+    """Seeded inputs: lengths 1-300 at scales 1, 10, 100 and 700, with -inf
+    entries, ties at the maximum, all entries equal and all -inf; lists of
+    three floats, as the classifier's posteriors pass; and the empty input."""
+    rng = np.random.default_rng(23)
+    for i in range(2000):
+        k = int(rng.integers(1, 301))
+        a = rng.normal(size=k) * (1, 10, 100, 700)[i % 4]
+        kind = i // 4 % 5
+        if kind == 1:
+            a[rng.random(k) < 0.3] = -np.inf
+        elif kind == 2:
+            a[rng.integers(k, size=3)] = a.max()
+        elif kind == 3:
+            a[:] = a[0]
+        elif kind == 4:
+            a[:] = -np.inf
+        yield a
+    for i in range(200):
+        logs = (rng.normal(size=3) * 5 - (1, 50, 700, 900)[i % 4]).tolist()
+        if i % 10 == 9:
+            logs[i % 3] = -math.inf
+        yield logs
+    yield [-math.inf] * 3
+    yield []
+
+
+# sha256 of the repr of every output on _log_sum_exp_corpus, one a line, as
+# scipy.special.logsumexp 1.17.1 (numpy 2.4.6) computed them: the bits that
+# the recorded enum values and classifier posteriors carry
+LOG_SUM_EXP_DIGEST = "971a0ec1b0e0e75499127f11fcaef44c98bad41977083160d722d710cbe6272f"
+
+
+def test_log_sum_exp_keeps_scipys_bits():
+    outputs = "\n".join(repr(_log_sum_exp(a)) for a in _log_sum_exp_corpus())
+    assert hashlib.sha256(outputs.encode()).hexdigest() == LOG_SUM_EXP_DIGEST
+
+
 def test_evidence_validation():
     bn = two_node()
     with pytest.raises(InvalidAssignmentError):
-        enumerate_marginal(bn, {"A": 2})
+        log_enumerate_marginal(bn, {"A": 2})
     with pytest.raises(InvalidAssignmentError):
-        enumerate_marginal(bn, {"Z": 0})
+        log_enumerate_marginal(bn, {"Z": 0})
     with pytest.raises(InvalidAssignmentError):
-        enumerate_marginal(bn, {"A": True})
+        log_enumerate_marginal(bn, {"A": True})
 
 
 def test_sample_forward_deterministic_cpts():
