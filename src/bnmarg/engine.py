@@ -54,15 +54,13 @@ class SgsConfig:
         Shared sampling knobs; the importance budget is split across sampled
         subsets proportionally to their size, and each sampled subset draws
         from an independent stream derived from (seed, subset index).
-    method_override:
-        Optional per-subset forcing, {subset index: "exact" | "approx"},
-        mainly for experiments.  A forced "exact" may still raise
-        CapacityError.
+    table_cap:
+        The largest clique table, in states, of an exact subset; a subset
+        that needs a larger one is sampled instead.
     """
 
     n_max: int = 15
     sampler: SamplerConfig = field(default_factory=lambda: SamplerConfig(sample_count=1000))
-    method_override: Optional[Mapping] = None
     table_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
@@ -71,10 +69,6 @@ class SgsConfig:
             raise ArgumentError("n_max must be >= 0")
         if self.table_cap < 2:
             raise ArgumentError("table_cap must be >= 2")
-        if self.method_override:
-            for k, m in self.method_override.items():
-                if m not in ("exact", "approx"):
-                    raise ArgumentError(f"method_override[{k!r}] must be 'exact' or 'approx'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +136,9 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     """Evidence marginal via subgroup separation.
 
     Decomposes the query, plans exact/sampled per subset (strict n_max
-    threshold, capacity fallback to sampling, optional per-subset override),
-    splits the sample budget across sampled subsets proportionally to size,
-    and multiplies the factors back together in log space.
+    threshold, capacity fallback to sampling), splits the sample budget
+    across sampled subsets proportionally to size, and multiplies the
+    factors back together in log space.
 
     The sampled subsets get their proposals from one :func:`loopy_bp` call
     per width (largest cardinality), on all their clamped factors at once;
@@ -154,7 +148,6 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
     cfg = cfg or SgsConfig()
     dec = decompose(bn, evidence)  # validates the evidence before any work
     rel = relevant_subgraph(bn, set(evidence))
-    override = dict(cfg.method_override or {})
 
     # exact subsets are solved while planning; the sampled set, and with it
     # the budget split and the per-subset seeds, is fixed before any sampling
@@ -164,16 +157,13 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
         scope = sub + b.e_mb
         factors = sub + b.e_ch
         values = {v: evidence[v] for v in b.e_mb}
-        forced = override.get(i)
-        if forced == "exact" or (forced is None and len(sub) < cfg.n_max):
+        if len(sub) < cfg.n_max:
             try:
                 log_f = _log_exact(rel, scope, factors, values, cfg.table_cap)
-            except CapacityError:
-                if forced == "exact":
-                    raise
-            else:
                 reports[i] = SubsetReport(nodes=sub, method="exact", log_factor=log_f)
                 continue
+            except CapacityError:  # the table cap refused the subset: sample it
+                pass
         sampled.append((i, sub, scope, factors, values))
 
     # one loopy-BP run per width carries every sampled subset of that width;
@@ -184,7 +174,7 @@ def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] 
         clamped = clamp_factors(rel, values, scope, factors)
         runs.setdefault(clamped.width, []).append((i, sub, clamped))
     for run in runs.values():
-        proposals = loopy_bp(rel, evidence, cfg.sampler, clamped=tuple(c for _, _, c in run))
+        proposals = loopy_bp(tuple(c for _, _, c in run), cfg.sampler)
         for (i, sub, clamped), q in zip(run, proposals):
             m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total_size)))
             rng = np.random.default_rng(derive_seed(cfg.sampler.seed, i))
@@ -216,7 +206,7 @@ def _whole_graph_sampled(
     rng = np.random.default_rng(int(sampler.seed))
     clamped = clamp_factors(bn, evidence, None if name == "gs" else nodes)
     if name == "lbp-is":
-        q = loopy_bp(bn, evidence, sampler, clamped=clamped)
+        (q,) = loopy_bp((clamped,), sampler)
     else:
         q = gibbs_proposal(bn, clamped, sampler, rng)  # the weights continue its stream
     return _sampled_report(free, clamped, q, rng, sampler.sample_count)

@@ -126,39 +126,30 @@ class Dag:
                     frontier.append(p)
         return out
 
-    def subgraph(self, nodes: Iterable) -> "Dag":
-        """Induced subgraph, node order inherited from this graph.
+    def _ancestral_subgraph(self, keep: set) -> Optional["Dag"]:
+        """The subgraph induced by ``keep``, or None when a kept node has a
+        parent outside it (the set is not ancestral).
 
         Built without the constructor's checks (an induced subgraph of a DAG
         is a DAG) by linear passes over this graph's validated lists: the
         kept ids, in canonical and in topological order, are these lists
-        filtered, and the result shares the node ids and every parent tuple
-        that loses no member.  When no kept node loses a parent (an
-        ancestral set), every parent tuple is shared and the topological
-        order is this graph's, filtered: nodes outside the set never make a
-        kept node ready, so they never change which kept node the min-heap
-        order takes next.  Otherwise the order is recomputed.  The child
-        lists and the edge set are built on first use.
+        filtered, and the result shares the node ids and every parent tuple.
+        Nodes outside an ancestral set never make a kept node ready, so they
+        never change which kept node the min-heap order takes next.  The
+        child lists and the edge set are built on first use.
         """
-        return self._induced(set(nodes))[0]
-
-    def _induced(self, keep: set) -> tuple["Dag", bool]:
-        """:meth:`subgraph` on the kept set, and whether that set is ancestral."""
         self.check_nodes(keep)
         kept = keep.__contains__
-        sub = Dag.__new__(Dag)
-        sub.node_ids = ids = tuple(filter(kept, self.node_ids))
-        sub._index = dict(zip(ids, range(len(ids))))
+        ids = tuple(filter(kept, self.node_ids))
         parents = list(map(self._parents.__getitem__, ids))
-        ancestral = keep.issuperset(itertools.chain.from_iterable(parents))
-        if ancestral:
-            sub._parents = dict(zip(ids, parents))
-            sub._topo = tuple(filter(kept, self._topo))
-        else:
-            parents = [ps if keep.issuperset(ps) else tuple(filter(kept, ps)) for ps in parents]
-            sub._parents = dict(zip(ids, parents))
-            sub._topo = sub._compute_topological_order()
-        return sub, ancestral
+        if not keep.issuperset(itertools.chain.from_iterable(parents)):
+            return None
+        sub = Dag.__new__(Dag)
+        sub.node_ids = ids
+        sub._index = dict(zip(ids, range(len(ids))))
+        sub._parents = dict(zip(ids, parents))
+        sub._topo = tuple(filter(kept, self._topo))
+        return sub
 
     @functools.cached_property
     def _children(self) -> dict:

@@ -43,6 +43,7 @@ from .graphs import Dag
 
 DEFAULT_ENUM_BITS_CAP = 22.0
 DRAW_BLOCK = 256  # forward draws per pass of sample_forward_array
+ENUM_BLOCK = 1 << 15  # configurations decoded per pass of log_enumerate_marginal
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,13 @@ class CategoricalBN:
         is built from this already-validated network without re-checking
         it: it shares the node ids, the read-only CPT arrays, the state-name
         tuples and every parent tuple, and its graph takes this graph's
-        topological order, filtered (see :meth:`Dag.subgraph`).
+        topological order, filtered (see :meth:`Dag._ancestral_subgraph`).
+        This is the package's one builder of induced subgraphs.
         """
         keep = set(nodes)
-        sub, ancestral = self.dag._induced(keep)
-        if not ancestral:
-            v = next(v for v in sub.node_ids if len(sub._parents[v]) != len(self.dag._parents[v]))
+        sub = self.dag._ancestral_subgraph(keep)
+        if sub is None:
+            v = next(v for v in self.node_ids if v in keep and not keep.issuperset(self.dag._parents[v]))
             raise ArgumentError(
                 f"cannot restrict: node {v!r} loses parents "
                 f"{[p for p in self.dag.parents(v) if p not in keep]}"
@@ -326,7 +328,8 @@ def log_enumerate_marginal(
     independent of the junction-tree and sampling machinery: this is the
     ground-truth oracle the rest of the package is checked against.  Free
     state spaces above ``bits_cap`` binary-variable equivalents raise
-    CapacityError.
+    CapacityError.  States are decoded ``ENUM_BLOCK`` configurations at a
+    time, each adding its node terms in node order into the log joints.
     """
     validate_evidence(bn, e)
     free = [v for v in bn.node_ids if v not in e]
@@ -337,26 +340,22 @@ def log_enumerate_marginal(
             f"(cap {bits_cap})"
         )
 
-    n_cfg = 1
-    for v in free:
-        n_cfg *= bn.cardinalities[v]
-    if n_cfg == 0:
-        raise ArgumentError("network has a node with empty state space")
-
     # mixed-radix decode of configuration index -> per-node state vectors
     strides = {}
-    acc = 1
+    n_cfg = 1
     for v in reversed(free):
-        strides[v] = acc
-        acc *= bn.cardinalities[v]
-    idx = np.arange(n_cfg, dtype=np.int64)
-    states = dict(e)
-    for v in free:
-        states[v] = (idx // strides[v]) % bn.cardinalities[v]
-
+        strides[v] = n_cfg
+        n_cfg *= bn.cardinalities[v]
+    tables = [(v, _log_cpt(bn.cpts[v])) for v in bn.node_ids]
     logp = np.zeros(n_cfg, dtype=float)
-    for v in bn.node_ids:
-        logp += _log_cpt(bn.cpts[v])[bn.row_index(v, states), states[v]]
+    for start in range(0, n_cfg, ENUM_BLOCK):
+        idx = np.arange(start, min(start + ENUM_BLOCK, n_cfg), dtype=np.int64)
+        states = dict(e)
+        for v in free:
+            states[v] = (idx // strides[v]) % bn.cardinalities[v]
+        block = logp[start : start + ENUM_BLOCK]
+        for v, table in tables:
+            block += table[bn.row_index(v, states), states[v]]
     return _log_sum_exp(logp)
 
 

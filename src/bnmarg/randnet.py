@@ -264,20 +264,27 @@ def _ba_edges(n: int, m: int, rng: np.random.Generator):
     return np.array(parents, dtype=np.int64), np.array(children, dtype=np.int64)
 
 
+def _closest_in_scan(params: range, pilot_mean, target: float) -> int:
+    """The first of ``params`` whose pilot mean lies closest to ``target``,
+    scanning in order and stopping after the first mean above ``target +
+    2``; ``params.start`` when the scan is empty."""
+    best, best_gap = params.start, math.inf
+    for x in params:
+        mean = pilot_mean(x)
+        gap = abs(mean - target)
+        if gap < best_gap:
+            best, best_gap = x, gap
+        if mean > target + 2.0:
+            break
+    return best
+
+
 @lru_cache(maxsize=_CALIBRATIONS_KEPT)
 def _calibrate_ba(n: int, target: float) -> int:
     def pilot_mean(m: int) -> float:
         return _ensemble_mean([_ba_edges(n, m, np.random.default_rng(s)) for s in _pilot_seeds(n)], n)
 
-    best_m, best_gap = 1, math.inf
-    for m in range(1, n):
-        mean = pilot_mean(m)
-        gap = abs(mean - target)
-        if gap < best_gap:
-            best_m, best_gap = m, gap
-        if mean > target + 2.0:
-            break
-    return best_m
+    return _closest_in_scan(range(1, n), pilot_mean, target)
 
 
 def _ws_edges(n: int, k: int, rewire: float, rng: np.random.Generator):
@@ -312,17 +319,7 @@ def _calibrate_ws(n: int, target: float, rewire: float) -> int:
             [_ws_edges(n, k, rewire, np.random.default_rng(s)) for s in _pilot_seeds(n)], n
         )
 
-    best_k, best_gap = 2, math.inf
-    k = 2
-    while k <= n - 1:
-        mean = pilot_mean(k)
-        gap = abs(mean - target)
-        if gap < best_gap:
-            best_k, best_gap = k, gap
-        if mean > target + 2.0:
-            break
-        k += 2
-    return best_k
+    return _closest_in_scan(range(2, n, 2), pilot_mean, target)
 
 
 def _islands_edges(spec: GenSpec, rng: np.random.Generator):
@@ -406,11 +403,15 @@ def pick_evidence(bn: CategoricalBN, fraction: float, seed: int):
     """Observe floor(fraction * n) nodes with states from one forward draw.
 
     States come from a forward sample of the whole network, so the returned
-    assignment always has positive probability.
+    assignment always has positive probability.  ``seed`` must be a
+    non-negative integer; anything else raises ArgumentError.
     """
     require_number("evidence fraction", fraction, ArgumentError)
     if not (0.0 <= fraction <= 1.0):
         raise ArgumentError("evidence fraction must lie in [0, 1]")
+    require_integer("seed", seed, ArgumentError)
+    if seed < 0:
+        raise ArgumentError("seed must be a non-negative integer")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n = len(bn.node_ids)
     count = int(math.floor(fraction * n))

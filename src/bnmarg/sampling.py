@@ -346,60 +346,38 @@ def clamp_factors(
     )
 
 
-def loopy_bp(
-    bn: CategoricalBN,
-    evidence: Mapping,
-    cfg: SamplerConfig,
-    nodes: Optional[Iterable] = None,
-    factor_nodes: Optional[Iterable] = None,
-    clamped: ClampedFactors | tuple | None = None,
-) -> ImportanceDistribution | tuple:
-    """Factor-graph sum-product beliefs as a factorized proposal.
+def loopy_bp(parts: tuple, cfg: SamplerConfig) -> tuple:
+    """Factor-graph sum-product beliefs as factorized proposals, one per
+    part of ``parts``, a tuple of :class:`ClampedFactors` of one
+    :attr:`ClampedFactors.width`.
 
-    One factor per node in ``factor_nodes`` (its evidence-clamped CPT), one
-    variable per free node of the scope.  All messages start at one; each
-    round recomputes every factor-to-variable message from the previous
-    round, then every variable-to-factor message from those (the flooding
-    schedule), so the result is independent of node order.  Runs up to
-    ``cfg.lbp_iterations`` rounds or until the largest belief change drops
-    below ``cfg.lbp_tolerance``.  Beliefs are floored at
+    Each part holds one factor per factor node (its evidence-clamped CPT)
+    and one variable per free node of its scope.  All messages start at
+    one; each round recomputes every factor-to-variable message from the
+    previous round, then every variable-to-factor message from those (the
+    flooding schedule), so the result is independent of node order.  Runs
+    up to ``cfg.lbp_iterations`` rounds or until the largest belief change
+    drops below ``cfg.lbp_tolerance``.  Beliefs are floored at
     ``cfg.belief_floor`` and renormalized, so every node's own states are
     strictly positive; the floored belief matrix, zero past each node's
     cardinality, is the proposal.  On tree-shaped factor graphs the
     converged beliefs are the exact conditionals.
 
-    The rounds run on the factors :func:`clamp_factors` builds from the
-    same arguments; a caller that goes on to weight draws with
-    :func:`importance_estimate` builds them once and passes them as
-    ``clamped``, and the other arguments are then not read again.
+    The parts share one run of rounds, and each stops on its own: its
+    beliefs are those of the first round whose largest change within the
+    part drops below the tolerance, or of the last round.  Every proposal
+    equals, byte for byte, the one a call on that part alone returns.  (A
+    part is padded to the run's width, and rows of eight or more columns
+    would be summed pairwise, so parts of different widths are refused
+    rather than padded.)
 
-    ``clamped`` may also be a tuple of parts, each a :class:`ClampedFactors`
-    over its own free nodes, all of one :attr:`ClampedFactors.width`; the
-    result is then a tuple of proposals, one per part.  The parts share one
-    run of rounds, and each stops on its own: its beliefs are those of the
-    first round whose largest change within the part drops below the
-    tolerance, or of the last round.  Every proposal equals, byte for byte,
-    the one a call on that part alone returns.  (A part is padded to the
-    run's width, and rows of eight or more columns would be summed
-    pairwise, so parts of different widths are refused rather than padded.)
-
-    Messages live in one array per direction with a row per (factor,
-    variable) edge, zero-padded to the largest cardinality.  Factor tables
-    are stacked per distinct shape, so a round costs a few array operations
-    per shape and per variable degree rather than one per message.
+    The parts are stacked into one factor graph: part j's variables and
+    edges follow those of the parts before it, and each of its C-contiguous
+    table stacks joins those of the same table shape.  Messages live in one
+    array per direction with a row per (factor, variable) edge, zero-padded
+    to the largest cardinality, so a round costs a few array operations per
+    shape and per variable degree rather than one per message.
     """
-    if clamped is None:
-        clamped = clamp_factors(bn, evidence, nodes, factor_nodes)
-    if isinstance(clamped, ClampedFactors):
-        return _bp_run((clamped,), cfg)[0]
-    return _bp_run(tuple(clamped), cfg) if clamped else ()
-
-
-def _bp_run(parts: tuple, cfg: SamplerConfig) -> tuple:
-    """The rounds of :func:`loopy_bp` on the parts stacked into one factor
-    graph: part j's variables and edges follow those of the parts before
-    it, and each of its C-contiguous table stacks joins those of the same
-    table shape."""
     width = parts[0].width
     if any(p.width != width for p in parts):
         raise ArgumentError("the parts of one loopy-BP run must share one width")

@@ -645,7 +645,7 @@ def reference_build_junction_tree(bn, nodes, factor_nodes):
     dag = bn.dag
     scope = dag.sort(set(nodes))
     factors = set(factor_nodes)
-    _, cliques = reference_min_fill(scope, adjacency(scope, moral_edges(dag.subgraph(scope))))
+    _, cliques = reference_min_fill(scope, adjacency(scope, moral_edges(induced_dag(dag, scope))))
     sets = [set(c) for c in cliques]
     tree = tuple((i, j, tuple(v for v in cliques[i] if v in sets[j])) for i, j in reference_spanning_tree(cliques))
     potentials = [np.ones([bn.cardinalities[v] for v in c]) for c in cliques]
@@ -719,6 +719,14 @@ def reference_log_tree_sum(jt, root=0):
     val, scale = beliefs[root]
     total = float(val.sum())
     return -math.inf if total <= 0.0 else math.log(total) + scale
+
+
+def induced_dag(dag, nodes):
+    """The subgraph of ``dag`` induced by ``nodes``, in ``dag``'s node
+    order, built by the checking constructor."""
+    keep = set(nodes)
+    ids = tuple(v for v in dag.node_ids if v in keep)
+    return Dag(ids, [(p, v) for v in ids for p in dag.parents(v) if p in keep])
 
 
 def dag_structure(dag):

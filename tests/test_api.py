@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import bnmarg
@@ -54,6 +55,15 @@ def test_readme_family_aliases_are_accepted():
     assert len(names) == len(FAMILIES) + len(FAMILY_ALIASES)
     for name in names:
         assert GenSpec(family=name, n=12, mb_size=2.0).family in FAMILIES
+
+
+def test_readme_names_every_config_field():
+    # each knob of the two config objects is named in README, in backticks
+    # or as a keyword in an example, so none goes undocumented
+    text = README.read_text(encoding="utf-8")
+    for cls in (bnmarg.SgsConfig, bnmarg.SamplerConfig):
+        missing = [f.name for f in fields(cls) if f"`{f.name}`" not in text and f"{f.name}=" not in text]
+        assert missing == [], cls.__name__
 
 
 def test_import_leaves_scipy_special_unloaded():

@@ -12,6 +12,7 @@ from conftest import (
     ancestors_of_set,
     d_separated,
     dag_structure,
+    induced_dag,
     markov_blanket,
     moral_edges,
     rand_bn,
@@ -184,7 +185,7 @@ def test_find_subsets_matches_moral_graph_search():
     assert 1.4 < 2 * len(big.edges) / len(big) < 1.8
     for fraction in (0.0, 0.05, 0.3, 0.7, 1.0):
         e = set(rng.choice(big.node_ids, size=round(fraction * len(big)), replace=False).tolist())
-        cases += [(big, e), (big.subgraph(e | set(ancestors_of_set(big, e))), e)]
+        cases += [(big, e), (induced_dag(big, e | set(ancestors_of_set(big, e))), e)]
     for dag, e in cases:
         assert find_subsets(dag, e) == reference_find_subsets(dag, e)
     # the large network has a giant component, which 30 % evidence splits

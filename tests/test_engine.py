@@ -39,8 +39,6 @@ def test_config_validation():
         SgsConfig(n_max=-1)
     with pytest.raises(ArgumentError):
         SgsConfig(table_cap=1)
-    with pytest.raises(ArgumentError):
-        SgsConfig(method_override={0: "fast"})
     for field in ("n_max", "table_cap"):
         for bad in (2.5, 1e6, False):
             with pytest.raises(ArgumentError, match=f"{field} must be an integer"):
@@ -169,9 +167,9 @@ def test_sgs_runs_loopy_bp_once_per_width(monkeypatch):
     # report equals the one from its own call, its own draws and its share
     runs = []
 
-    def counted(*args, clamped, **kwargs):
-        runs.append(clamped)
-        return loopy_bp(*args, clamped=clamped, **kwargs)
+    def counted(parts, cfg):
+        runs.append(parts)
+        return loopy_bp(parts, cfg)
 
     monkeypatch.setattr(engine, "loopy_bp", counted)
     rng = np.random.default_rng(59)
@@ -198,7 +196,7 @@ def test_sgs_runs_loopy_bp_once_per_width(monkeypatch):
         for i in sampled:
             sub, b = dec.subsets[i], dec.boundaries[i]
             clamped = clamp_factors(rel, {v: e[v] for v in b.e_mb}, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch))
-            q = loopy_bp(rel, e, cfg.sampler, clamped=clamped)
+            (q,) = loopy_bp((clamped,), cfg.sampler)
             m = max(1, int(round(cfg.sampler.sample_count * len(sub) / total)))
             res = importance_estimate(clamped, q, np.random.default_rng(derive_seed(cfg.sampler.seed, i)), m)
             r = est.per_subset[i]
@@ -225,21 +223,7 @@ def test_sampled_mode_unbiased_within_error_bars():
         assert abs(est.value - truth) <= 4.0 * se + 1e-12
 
 
-def test_method_override():
-    rng = np.random.default_rng(67)
-    bn = rand_bn(rng, 8, 0.3)
-    e = rand_evidence(rng, bn, 2)
-    dec = decompose(bn, e)
-    assert dec.subsets
-    override = {i: "approx" for i in range(len(dec.subsets))}
-    est = marginal_sgs(bn, e, SgsConfig(n_max=999, method_override=override))
-    assert all(r.method == "approx" for r in est.per_subset)
-    override = {i: "exact" for i in range(len(dec.subsets))}
-    est = marginal_sgs(bn, e, SgsConfig(n_max=0, method_override=override))
-    assert all(r.method == "exact" for r in est.per_subset)
-
-
-def test_capacity_fallback_and_forced_exact():
+def test_capacity_fallback_samples_the_refused_subset():
     rng = np.random.default_rng(71)
     bn = rand_bn(rng, 14, 0.5, cards=(3,))
     e = rand_evidence(rng, bn, 2)
@@ -247,14 +231,11 @@ def test_capacity_fallback_and_forced_exact():
     big = max(range(len(dec.subsets)), key=lambda i: len(dec.subsets[i]))
     if len(dec.subsets[big]) < 6:
         pytest.skip("random draw produced only small subsets")
-    # a tiny table cap forces the planner to fall back to sampling
+    # a tiny table cap forces the planner to fall back to sampling, which
+    # the default cap leaves exact
     cfg = SgsConfig(n_max=999, table_cap=8, sampler=SamplerConfig(sample_count=40))
-    est = marginal_sgs(bn, e, cfg)
-    assert est.per_subset[big].method == "approx"
-    # but an explicit exact override refuses to degrade silently
-    cfg = SgsConfig(n_max=999, table_cap=8, method_override={big: "exact"})
-    with pytest.raises(CapacityError):
-        marginal_sgs(bn, e, cfg)
+    assert marginal_sgs(bn, e, cfg).per_subset[big].method == "approx"
+    assert marginal_sgs(bn, e, SgsConfig(n_max=999)).per_subset[big].method == "exact"
 
 
 def test_same_seed_is_deterministic():
@@ -295,7 +276,7 @@ def _pin_cases():
 
     Sparse networks (cardinalities 2-5, ~40 % zero CPT entries, deterministic
     rows) with empty, one-node, half and full evidence, every method at three
-    n_max values, then a capacity fallback and per-subset overrides.
+    n_max values, then a capacity fallback.
     """
     for k in range(24):
         rng = np.random.default_rng(7000 + k)
@@ -328,9 +309,6 @@ def _pin_cases():
         ("cap/fallback", SgsConfig(n_max=100, table_cap=27, sampler=sampler)),
         ("cap/exact", SgsConfig(n_max=100, sampler=sampler)),
         ("sampled/all", SgsConfig(n_max=0, sampler=sampler)),
-        ("override/approx", SgsConfig(n_max=100, sampler=sampler, method_override={0: "approx"})),
-        ("override/exact", SgsConfig(n_max=0, sampler=sampler, method_override={1: "exact"})),
-        ("override/refused", SgsConfig(n_max=0, table_cap=27, method_override={1: "exact"})),
     ):
         yield label, bn, e, "sgs", cfg
     yield "cap/jt", bn, e, "jt", SgsConfig(table_cap=27)
@@ -473,9 +451,6 @@ PINNED = {
     "cap/fallback": ("-3.916004732444881", "202741650df82e31"),
     "cap/exact": ("-4.041655074875752", "c7319c056461178a"),
     "sampled/all": ("-4.064556150722128", "9c6f17fad4f71616"),
-    "override/approx": ("-3.951316493735991", "150ee8b672987f97"),
-    "override/exact": ("-3.951316493735991", "150ee8b672987f97"),
-    "override/refused": ("CapacityError", ""),
     "cap/jt": ("CapacityError", ""),
 }
 

@@ -27,6 +27,7 @@ from bnmarg.network import CategoricalBN, log_enumerate_marginal, sample_forward
 from conftest import (
     adjacency,
     brute_marginal,
+    induced_dag,
     moral_adjacency,
     moral_edges,
     oracle_graphs,
@@ -231,7 +232,7 @@ def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
         for sub, b in zip(dec.subsets, dec.boundaries):  # each subset, as sgs builds it
             calls.append((rel, set(sub) | set(b.e_mb), set(sub) | set(b.e_ch)))
         for net, scope, factors in calls:
-            induced = net.dag.subgraph(scope)
+            induced = induced_dag(net.dag, scope)
             _, cliques = reference_min_fill(induced.node_ids, adjacency(induced.node_ids, moral_edges(induced)))
             largest = max(math.prod(net.cardinalities[v] for v in c) for c in cliques)
             for cap in (largest - 1, largest, largest + 1):

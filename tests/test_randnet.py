@@ -420,6 +420,20 @@ def test_pick_evidence_counts_and_validity():
     assert pick_evidence(bn, 1, 5) == full
 
 
+def test_pick_evidence_refuses_a_seed_that_is_not_a_non_negative_integer():
+    # a bool or a float is not a seed (network.is_integer), and a negative
+    # one is out of NumPy's range; each is refused before anything is drawn
+    bn = gen_network(GenSpec(family="er", n=12, mb_size=2.0, seed=4))
+    for bad in (True, False, 1.5, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(ArgumentError, match="seed must be an integer"):
+            pick_evidence(bn, 0.5, bad)
+    for bad in (-1, np.int64(-2)):
+        with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+            pick_evidence(bn, 0.5, bad)
+    assert pick_evidence(bn, 0.5, np.int64(7)) == pick_evidence(bn, 0.5, 7)
+    assert pick_evidence(bn, 0.0, 0) == {}
+
+
 def test_picked_evidence_has_positive_probability():
     # states come from a forward sample, so the joint never vanishes
     from conftest import brute_marginal

@@ -74,6 +74,12 @@ def _reference_reduced_factor(bn, v, evidence):
     return tuple(free_vars), np.asarray(table[tuple(sel)], dtype=float)
 
 
+def _loopy_bp_on(bn, evidence, cfg, nodes=None, factor_nodes=None):
+    """The proposal :func:`loopy_bp` gives the one part ``clamp_factors``
+    builds from the arguments."""
+    return loopy_bp((clamp_factors(bn, evidence, nodes, factor_nodes),), cfg)[0]
+
+
 def _reference_loopy_bp(bn, evidence, cfg, nodes=None, factor_nodes=None):
     """Flooding sum-product with one small array per message, kept as an
     independent route to the beliefs ``loopy_bp`` computes on stacked arrays.
@@ -172,7 +178,7 @@ def test_loopy_bp_matches_reference_message_loop():
             for iters in (1, 5, 50):
                 cfg = SamplerConfig(sample_count=1, lbp_iterations=iters, lbp_tolerance=1e-12)
                 want_nodes, want = _reference_loopy_bp(net, ev, cfg, nodes, factors)
-                q = loopy_bp(net, ev, cfg, nodes, factors)
+                q = _loopy_bp_on(net, ev, cfg, nodes, factors)
                 assert q.nodes == want_nodes
                 for v, p in zip(q.nodes, q.probs):
                     assert not p[net.cardinalities[v] :].any()
@@ -216,7 +222,7 @@ def test_loopy_bp_beliefs_are_pinned():
         cfg = SamplerConfig(sample_count=1, lbp_iterations=(1, 5, 50)[k % 3])
         h = hashlib.sha256()
         for net, ev, nodes, factors in _bp_scopes(bn, e):
-            q = loopy_bp(net, ev, cfg, nodes, factors)
+            q = _loopy_bp_on(net, ev, cfg, nodes, factors)
             h.update(repr(q.nodes).encode())
             for v, p in zip(q.nodes, q.probs):
                 h.update(p[: net.cardinalities[v]].tobytes())
@@ -238,8 +244,8 @@ def test_loopy_bp_beliefs_do_not_depend_on_tables_of_the_same_shape():
         )
         for iters in (1, 2, 5, 20):
             cfg = SamplerConfig(sample_count=1, lbp_iterations=iters)
-            alone = loopy_bp(bn, {}, cfg, nodes=("c", "p", "r"), factor_nodes=("p", "c"))
-            beside = loopy_bp(bn, {}, cfg, factor_nodes=("p", "c", "d", "q"))
+            alone = _loopy_bp_on(bn, {}, cfg, nodes=("c", "p", "r"), factor_nodes=("p", "c"))
+            beside = _loopy_bp_on(bn, {}, cfg, factor_nodes=("p", "c", "d", "q"))
             rows = [beside.nodes.index(v) for v in alone.nodes]
             assert alone.nodes == ("c", "p", "r")
             assert beside.probs[rows].tobytes() == alone.probs.tobytes(), (seed, iters)
@@ -249,7 +255,7 @@ def _stop_round(part, cfg):
     """The round in which ``part`` run alone stops, or None when it runs
     out of rounds."""
     def beliefs(rounds):
-        return loopy_bp(None, {}, replace(cfg, lbp_iterations=rounds), clamped=part).probs.tobytes()
+        return loopy_bp((part,), replace(cfg, lbp_iterations=rounds))[0].probs.tobytes()
 
     last = beliefs(cfg.lbp_iterations)
     if beliefs(cfg.lbp_iterations + 1) != last:
@@ -294,11 +300,11 @@ def test_loopy_bp_batch_equals_separate_calls():
         for width in (2, 3, 4, 5):
             batch = tuple(p for p in parts if p.width == width)
             assert len(batch) > 2
-            got = loopy_bp(None, {}, cfg, clamped=batch)
+            got = loopy_bp(batch, cfg)
             assert len(got) == len(batch)
             stops = set()
             for part, q in zip(batch, got):
-                want = loopy_bp(None, {}, cfg, clamped=part)
+                (want,) = loopy_bp((part,), cfg)
                 assert q.nodes == want.nodes == part.free
                 assert q.probs.tobytes() == want.probs.tobytes()
                 r = _stop_round(part, cfg)
@@ -307,7 +313,7 @@ def test_loopy_bp_batch_equals_separate_calls():
     assert all({"first", "never"} <= kinds[1, 1e-6, width] for width in (2, 3, 4, 5))
     assert any(s == {"first", "middle", "never"} for s in kinds.values())
     with pytest.raises(ArgumentError, match="one width"):
-        loopy_bp(None, {}, cfg, clamped=(next(p for p in parts if p.width == 2), parts[-1]))
+        loopy_bp((next(p for p in parts if p.width == 2), parts[-1]), cfg)
 
 
 # log values of ("lbp-is", "sgs" with n_max=0) recorded before loopy_bp and
@@ -472,7 +478,7 @@ def test_lbp_exact_on_polytrees():
     for _ in range(12):
         bn = _polytree_bn(rng, int(rng.integers(4, 9)))
         e = rand_evidence(rng, bn, int(rng.integers(1, 3)))
-        q = loopy_bp(bn, e, cfg)
+        q = _loopy_bp_on(bn, e, cfg)
         pe = brute_marginal(bn, e)
         for v, p in zip(q.nodes, q.probs):
             card = bn.cardinalities[v]
@@ -488,7 +494,7 @@ def test_lbp_no_evidence_gives_priors():
     rng = np.random.default_rng(40)
     bn = _polytree_bn(rng, 7)
     cfg = SamplerConfig(sample_count=1, lbp_iterations=100, lbp_tolerance=1e-12)
-    q = loopy_bp(bn, {}, cfg)
+    q = _loopy_bp_on(bn, {}, cfg)
     assert q.nodes == bn.node_ids
     for v, p in zip(q.nodes, q.probs):
         prior = np.array(
@@ -502,9 +508,9 @@ def test_lbp_argument_errors():
     bn = rand_bn(rng, 5, 0.4)
     cfg = SamplerConfig(sample_count=1)
     with pytest.raises(ArgumentError):
-        loopy_bp(bn, {v: 0 for v in bn.node_ids}, cfg)
+        _loopy_bp_on(bn, {v: 0 for v in bn.node_ids}, cfg)
     with pytest.raises(ArgumentError):
-        loopy_bp(bn, {}, cfg, nodes=("n0",), factor_nodes=("n0", "n1"))
+        _loopy_bp_on(bn, {}, cfg, nodes=("n0",), factor_nodes=("n0", "n1"))
 
 
 def test_exact_proposal_has_zero_weight_variance():
@@ -537,7 +543,7 @@ def test_importance_estimate_unbiased_within_error_bars():
         rel = relevant_subgraph(bn, e)
         factors = set(sub) | set(b.e_ch)
         clamped = clamp_factors(rel, e, set(sub) | set(b.e_mb), factors)
-        q = loopy_bp(rel, e, cfg, clamped=clamped)
+        (q,) = loopy_bp((clamped,), cfg)
         draws = np.random.default_rng(cfg.seed)
         res = importance_estimate(clamped, q, draws, cfg.sample_count)
         truth = math.exp(marginal(bn, e, "sgs", SgsConfig(n_max=999)).per_subset[i].log_factor)
@@ -747,7 +753,7 @@ def test_weights_and_log_density_add_terms_in_node_order():
             bn = reordered(rng, bn)
         e = rand_evidence(rng, bn, int(rng.integers(1, len(bn) // 2)))
         clamped = clamp_factors(bn, e)
-        q = loopy_bp(bn, e, SamplerConfig(sample_count=1), clamped=clamped)
+        (q,) = loopy_bp((clamped,), SamplerConfig(sample_count=1))
         assert clamped.size > 16 and len(q.nodes) > 8
         for m in (1, 2, 3, sampling.BLOCK + 1):
             seed = int(rng.integers(1 << 30))
@@ -952,7 +958,7 @@ def test_lbp_is_matches_the_restricted_network_computation():
         if all(v in e for v in net.node_ids):
             return evidence_only_factor(net, net.node_ids, e), 0.0
         clamped = clamp_factors(net, e)
-        q = loopy_bp(net, e, sampler, clamped=clamped)
+        (q,) = loopy_bp((clamped,), sampler)
         res = importance_estimate(clamped, q, np.random.default_rng(sampler.seed), sampler.sample_count)
         return res.log_estimate, res.weight_variance
 
