@@ -83,7 +83,7 @@ def run_benchmark(
     methods: Sequence[str] = DEFAULT_METHODS,
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     repetitions: int = DEFAULT_REPETITIONS,
-    n_max: int = 15,
+    n_max: int = SgsConfig().n_max,
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> BenchResult:
     if not is_integer(repetitions) or repetitions < 1:

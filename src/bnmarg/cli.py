@@ -262,9 +262,10 @@ def _cmd_classify(args) -> int:
 
 
 def _add_engine_flags(p):
-    p.add_argument("--n-max", type=int, default=15, help="exact-inference size threshold")
-    p.add_argument("--samples", type=int, default=1000, help="sample budget")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    defaults = SgsConfig()
+    p.add_argument("--n-max", type=int, default=defaults.n_max, help="exact-inference size threshold")
+    p.add_argument("--samples", type=int, default=defaults.sampler.sample_count, help="sample budget")
+    p.add_argument("--seed", type=int, default=defaults.sampler.seed, help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="", help="override: comma separated")
     p.add_argument("--budgets", default="", help="override: comma separated sample counts")
     p.add_argument("--reps", type=int, default=None, help="override: repetitions")
-    p.add_argument("--n-max", type=int, default=15)
+    p.add_argument("--n-max", type=int, default=SgsConfig().n_max)
     p.add_argument("--out", required=True, help="CSV result path")
     p.add_argument("--gnuplot", default="", help="optional TSV result path")
     p.set_defaults(func=_cmd_benchmark)

@@ -128,8 +128,8 @@ def _sampled_report(nodes: tuple, factors, q, rng, m: int) -> SubsetReport:
     """Importance estimate of the sum :func:`_log_exact` computes, over the
     clamped ``factors``, from ``m`` draws of proposal ``q`` (loopy-BP
     beliefs or Gibbs frequencies) made with ``rng``."""
-    res = importance_estimate(factors, q, rng, m)
-    return SubsetReport(nodes, "approx", res.log_estimate, res.sample_count, res.weight_variance)
+    log_estimate, weight_variance = importance_estimate(factors, q, rng, m)
+    return SubsetReport(nodes, "approx", log_estimate, m, weight_variance)
 
 
 def marginal_sgs(bn: CategoricalBN, evidence: Mapping, cfg: Optional[SgsConfig] = None) -> MarginalEstimate:

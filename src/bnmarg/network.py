@@ -59,14 +59,14 @@ class Violation:
 class CategoricalBN:
     """A categorical Bayesian network.
 
-    Construction enforces the structural contract (cardinalities >= 2, CPT
-    array shapes matching parent configurations) and stores each CPT as a
-    read-only C-contiguous float copy, whatever the layout of the array it
-    was given; numeric defects such as
-    rows that do not sum to one are left for :func:`validate` to report, so
-    that deliberately broken tables can be inspected.  The parser, the
-    generator and :meth:`restrict` build their networks through
-    :meth:`_trusted` instead, from parts they have checked themselves.
+    Construction enforces the structural contract (integer cardinalities
+    >= 2, CPT array shapes matching parent configurations) and stores each
+    CPT as a read-only C-contiguous float copy, whatever the layout of the
+    array it was given; numeric defects such as rows that do not sum to one
+    are left for :func:`validate` to report, so that deliberately broken
+    tables can be inspected.  The parser, the generator and :meth:`restrict`
+    build their networks through :meth:`_trusted` instead, from parts they
+    have checked themselves.
 
     ``state_names`` is optional presentation metadata used by the file format
     and command line; it defaults to ``s0, s1, ...`` per node, one tuple
@@ -85,10 +85,10 @@ class CategoricalBN:
         for v in dag.node_ids:
             if v not in cardinalities:
                 raise ArgumentError(f"missing cardinality for node {v!r}")
-            c = int(cardinalities[v])
-            if c < 2:
-                raise ArgumentError(f"node {v!r} has cardinality {c}; need >= 2")
-            cards[v] = c
+            c = cardinalities[v]
+            if not is_integer(c) or c < 2:
+                raise ArgumentError(f"node {v!r} has cardinality {c!r}; need an integer >= 2")
+            cards[v] = int(c)
         extra = set(cardinalities) - set(dag.node_ids)
         if extra:
             raise UnknownNodeError(f"cardinalities name unknown nodes {sorted(map(repr, extra))}")
@@ -202,16 +202,17 @@ def derive_seed(seed: int, *key: int) -> int:
 
 
 def validate(bn: CategoricalBN, tol: float = 1e-9) -> list[Violation]:
-    """Report value-level CPT defects: out-of-range entries and bad row sums."""
+    """Report value-level CPT defects: entries outside [0, 1] and bad row
+    sums; a NaN entry is both."""
     out = []
     for v in bn.node_ids:
         t = bn.cpts[v]
         for r in range(t.shape[0]):
             row = t[r]
-            if np.any(row < 0.0) or np.any(row > 1.0):
+            if not ((row >= 0.0) & (row <= 1.0)).all():
                 out.append(Violation(v, "value-range", r, f"entries outside [0, 1]: {row}"))
             s = float(row.sum())
-            if abs(s - 1.0) > tol:
+            if not abs(s - 1.0) <= tol:
                 out.append(Violation(v, "row-normalization", r, f"row sums to {s!r}"))
     return out
 
@@ -363,7 +364,7 @@ def sample_forward_array(bn: CategoricalBN, n: int, rng) -> np.ndarray:
     """Ancestral samples as a C-ordered int64 array of shape (n, len(bn)).
 
     Columns follow canonical node order.  ``rng`` is a numpy Generator or a
-    seed accepted by ``numpy.random.default_rng``.  Row t of one
+    non-negative integer seed, refused before any draw.  Row t of one
     ``(len(bn), n)`` uniform block drives the t-th node of the topological
     order: the same stream as one ``rng.random(n)`` call per node in that
     order, and the generator ends where those calls leave it.  A node's
@@ -383,6 +384,8 @@ def sample_forward_array(bn: CategoricalBN, n: int, rng) -> np.ndarray:
     if n < 0:
         raise ArgumentError("sample count must be non-negative")
     n = int(n)
+    if not isinstance(rng, np.random.Generator) and not (is_integer(rng) and rng >= 0):
+        raise ArgumentError(f"seed must be a Generator or a non-negative integer, got {rng!r}")
     rng = np.random.default_rng(rng)
     pos, stride, cum, bounds, order, out_rows = _forward_plan(bn)
     k = len(order)

@@ -60,17 +60,18 @@ class SamplerConfig:
 class ImportanceDistribution:
     """A fully factorized distribution over a set of nodes.
 
-    probs is a float array of shape ``(len(nodes), width)``.  Row i holds
-    the distribution of ``nodes[i]``: its leading entries, one per state,
-    are positive and sum to one, and the entries past its cardinality are
-    zero.
+    probs is a read-only float array of shape ``(len(nodes), width)``, a
+    copy of the one given.  Row i holds the distribution of ``nodes[i]``:
+    its leading entries, one per state, are positive and sum to one, and
+    the entries past its cardinality are zero.  The tables that
+    :meth:`states` and :meth:`log_prob` read are built from it once, here.
     """
 
     nodes: tuple
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = np.array(self.probs, dtype=float)
         if p.ndim != 2 or p.shape[0] != len(self.nodes):
             raise ArgumentError(
                 f"probs must have shape ({len(self.nodes)}, width), got {p.shape}"
@@ -89,62 +90,39 @@ class ImportanceDistribution:
                 else "does not sum to one"
             )
             raise ArgumentError(f"proposal for {self.nodes[i]!r} {why}")
+        p.setflags(write=False)
         object.__setattr__(self, "probs", p)
+        # cum never decreases, so counting a node's first card-1 entries below
+        # u is the state index, capped at the last state; the rest never count
+        cum = np.cumsum(p, axis=1)
+        cum[np.arange(cum.shape[1]) >= states.sum(axis=1)[:, None] - 1] = np.inf
+        object.__setattr__(self, "_cum", cum)
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_flat", np.log(p).ravel())
+        object.__setattr__(self, "_rows", np.arange(0, p.size, p.shape[1])[:, None])
+
+    def states(self, u: np.ndarray) -> np.ndarray:
+        """The states a block of uniforms picks by inverse CDF, row i for
+        node i; a column slice of a block picks what the block does."""
+        cum, draws = self._cum, np.zeros(u.shape, dtype=int)
+        for j in range(cum.shape[1] - 1):
+            draws += cum[:, j, None] < u
+        return draws
 
     def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m iid draws per node (inverse CDF): a ``(len(nodes), m)`` int
-        matrix whose row i holds the states of ``nodes[i]``.
+        """m iid draws per node: a ``(len(nodes), m)`` int matrix whose row i
+        holds the states of ``nodes[i]``.
 
         Row i of one ``(len(nodes), m)`` uniform block drives node i, the same
         stream as one ``rng.random(m)`` call per node in order.
         """
-        return self._inverse_cdf()(rng.random((len(self.nodes), m)))
-
-    def _inverse_cdf(self):
-        """The function from a block of uniforms to the states it picks, row
-        i for node i; a column slice of a block picks what the block does."""
-        cum = np.cumsum(self.probs, axis=1)
-        # cum never decreases, so counting a node's first card-1 entries below
-        # u is the state index, capped at the last state; the rest never count
-        card = np.count_nonzero(self.probs, axis=1)
-        cum[np.arange(cum.shape[1]) >= card[:, None] - 1] = np.inf
-
-        def states(u):
-            draws = np.zeros(u.shape, dtype=int)
-            for j in range(cum.shape[1] - 1):
-                draws += cum[:, j, None] < u
-            return draws
-
-        return states
-
-    def _log_density(self):
-        """The function :meth:`log_prob` applies: one gather from the
-        flattened ``log(probs)``, the node terms added in node order."""
-        with np.errstate(divide="ignore"):
-            flat = np.log(self.probs).ravel()
-        rows = np.arange(0, flat.size, self.probs.shape[1])[:, None]
-        return lambda draws: _sum_rows(flat[rows + draws])
+        return self.states(rng.random((len(self.nodes), m)))
 
     def log_prob(self, draws: np.ndarray) -> np.ndarray:
         """Log density of each joint draw (a column of ``draws``, laid out as
         :meth:`sample` returns it): one gather from the flattened
         ``log(probs)``, the node terms added in node order."""
-        return self._log_density()(draws)
-
-
-@dataclass(frozen=True)
-class ImportanceResult:
-    """One importance-sampling run.
-
-    weight_variance is the unbiased sample variance of w / mean(w): scale
-    free, and estimate * sqrt(weight_variance / sample_count) reconstructs
-    the standard error of the estimate.
-    """
-
-    estimate: float
-    log_estimate: float
-    weight_variance: float
-    sample_count: int
+        return _sum_rows(self._log_flat[self._rows + draws])
 
 
 def _normalized(rows: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -501,9 +479,12 @@ def importance_estimate(
     q: ImportanceDistribution,
     rng: np.random.Generator,
     m: int,
-) -> ImportanceResult:
+) -> tuple[float, float]:
     """Unbiased importance estimate of the sum over the free nodes of the
-    product of the clamped ``factors``.
+    product of the clamped ``factors``: ``(log estimate, weight variance)``,
+    where the weight variance is the unbiased sample variance of
+    w / mean(w), so that exp(log estimate) * sqrt(weight variance / m) is
+    the standard error of the estimate.
 
     Draws m joint configurations of every node of q from ``rng``, as
     ``q.sample`` does, and averages w = prod_f factor_f(x) / q(x).  Every
@@ -513,20 +494,14 @@ def importance_estimate(
     block, log w is the factor terms added in node order less
     ``q.log_prob``, bit for bit.
     """
-    log_weights, states, log_density = factors._log_weights(q), q._inverse_cdf(), q._log_density()
+    log_weights = factors._log_weights(q)
     u = rng.random((len(q.nodes), m))
     logw = np.empty(m)
     for start in range(0, m, BLOCK):
         c = slice(start, start + BLOCK)
-        draws = states(u[:, c])
-        logw[c] = log_weights(draws) - log_density(draws)
-    log_est, rel = _is_summary(logw)
-    return ImportanceResult(
-        estimate=math.exp(log_est),
-        log_estimate=log_est,
-        weight_variance=rel,
-        sample_count=m,
-    )
+        draws = q.states(u[:, c])
+        logw[c] = log_weights(draws) - q.log_prob(draws)
+    return _is_summary(logw)
 
 
 def gibbs_proposal(

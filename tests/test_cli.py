@@ -1,10 +1,13 @@
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from bnmarg.cli import main
+from bnmarg.bench import run_benchmark
+from bnmarg.cli import build_parser, main
+from bnmarg.engine import SgsConfig
 from bnmarg.netformat import parse_network, serialize_network
 
 from conftest import two_group_network
@@ -33,6 +36,20 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_engine_flag_defaults_are_the_config_defaults():
+    cfg = SgsConfig()
+    want = {"n_max": cfg.n_max, "samples": cfg.sampler.sample_count, "seed": cfg.sampler.seed}
+    parser = build_parser()
+    for argv in (
+        ["marginal", "--network", "x"],
+        ["classify", "--models", "x", "--data", "y", "--out", "z"],
+    ):
+        args = vars(parser.parse_args(argv))
+        assert {k: args[k] for k in want} == want, argv[0]
+    assert parser.parse_args(["benchmark", "--spec", "x", "--out", "y"]).n_max == cfg.n_max
+    assert inspect.signature(run_benchmark).parameters["n_max"].default == cfg.n_max
 
 
 def test_validate_ok(capsys, net_file):

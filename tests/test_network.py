@@ -65,6 +65,17 @@ def test_construction_checks():
         )
 
 
+def test_cardinalities_must_be_integers():
+    dag = Dag(("A", "B"), [("A", "B")])
+    cpts = {"A": [[0.5, 0.5]], "B": [[0.5, 0.5], [0.5, 0.5]]}
+    for bad in (2.7, 2.0, "2", True, None):
+        with pytest.raises(ArgumentError, match="node 'A' has cardinality .*; need an integer >= 2"):
+            CategoricalBN(dag, {"A": bad, "B": 2}, cpts)
+    bn = CategoricalBN(dag, {"A": np.int64(2), "B": np.uint8(2)}, cpts)
+    assert bn.cardinalities == {"A": 2, "B": 2}
+    assert all(type(c) is int for c in bn.cardinalities.values())
+
+
 def test_restrict_refusals_and_shared_tables():
     dag = Dag(("A", "B", "C"), [("A", "C"), ("B", "C")])
     cpts = {"A": [[0.5, 0.5]], "B": [[0.1, 0.9]], "C": [[0.2, 0.8]] * 4}
@@ -98,6 +109,18 @@ def test_validate_reports_defects():
     }
     kinds = {v.kind for v in validate(CategoricalBN(bn.dag, {"A": 2, "B": 2}, worse))}
     assert "value-range" in kinds
+
+
+def test_validate_reports_nan_entries():
+    bn = two_node()
+    tables = {"A": np.array([[np.nan, 0.5]]), "B": np.array([[0.9, 0.1], [0.2, np.nan]])}
+    got = [(v.node, v.kind, v.row) for v in validate(CategoricalBN(bn.dag, {"A": 2, "B": 2}, tables))]
+    assert got == [
+        ("A", "value-range", 0),
+        ("A", "row-normalization", 0),
+        ("B", "value-range", 1),
+        ("B", "row-normalization", 1),
+    ]
 
 
 def test_validate_counts_perturbed_rows():
@@ -326,6 +349,20 @@ def test_sample_counts_must_be_integers():
         sample_forward_array(bn, -1, 0)
     assert sample_forward_array(bn, np.int64(3), 0).tobytes() == sample_forward_array(bn, 3, 0).tobytes()
     assert sample_forward(bn, np.uint8(2), 1) == sample_forward(bn, 2, 1)
+
+
+def test_forward_draw_seeds_must_be_non_negative_integers():
+    bn = two_node()
+    for bad in (True, False, -1, 1.5, 2.0, "3", None, np.int64(-2)):
+        with pytest.raises(ArgumentError, match="seed must be a Generator or a non-negative integer"):
+            sample_forward_array(bn, 3, bad)
+        with pytest.raises(ArgumentError, match="seed must be"):
+            sample_forward(bn, 3, bad)
+    rng = np.random.default_rng(8)
+    want = sample_forward_array(bn, 5, np.random.default_rng(8))
+    assert sample_forward_array(bn, 5, rng).tobytes() == want.tobytes()  # a Generator is used as it is
+    assert sample_forward_array(bn, 5, np.uint16(8)).tobytes() == sample_forward_array(bn, 5, 8).tobytes()
+    assert sample_forward(bn, 2, 0) == sample_forward(bn, 2)
 
 
 def test_sample_forward_dicts_hold_python_ints():
