@@ -14,7 +14,6 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, CycleError, UnknownNodeError
@@ -41,7 +40,7 @@ class Dag:
     node order itself: once every earlier node is taken, a node's parents
     are done and it is the smallest ready one.  Only other edge lists run
     the min-heap pass, which also builds the child lists; otherwise they
-    are built on first use.
+    are built on first use, as is the edge set.
     """
 
     def __init__(self, node_ids: Sequence[NodeId], edges: Iterable[tuple] = ()):
@@ -53,7 +52,6 @@ class Dag:
         self._index = index = {v: i for i, v in enumerate(self.node_ids)}
 
         parents = {v: [] for v in self.node_ids}
-        edge_list = []
         seen = set()
         forward = True
         for edge in edges:
@@ -66,11 +64,9 @@ class Dag:
             if (u, v) in seen:
                 raise ArgumentError(f"duplicate edge {u!r} -> {v!r}")
             seen.add((u, v))
-            edge_list.append((u, v))
             parents[v].append(u)
             if forward and index[u] > index[v]:
                 forward = False
-        self.edges = frozenset(edge_list)
 
         key = index.__getitem__
         self._parents = {
@@ -163,8 +159,7 @@ class Dag:
 
     @functools.cached_property
     def edges(self) -> frozenset:
-        """Every (parent, child) pair; the constructor sets it, and an
-        induced subgraph builds it on first use."""
+        """Every (parent, child) pair, read off the parent tuples on first use."""
         return frozenset([(p, v) for v in self.node_ids for p in self._parents[v]])
 
     # -- topological order -------------------------------------------------
@@ -222,19 +217,6 @@ class Dag:
         return ()
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """Result of :func:`triangulate`, as node positions.
-
-    ``elimination_order`` lists the positions in elimination order;
-    ``cliques`` are the maximal cliques of the chordal completion, each a
-    sorted tuple of positions, in sorted order.
-    """
-
-    elimination_order: tuple
-    cliques: tuple
-
-
 def moral_graph(families: Sequence[list]) -> list[set]:
     """The undirected graph in which each family (a list of positions) is a
     clique: entry i holds the neighbour positions of position i."""
@@ -256,7 +238,7 @@ def _fill_count(adj: list, v: int) -> int:
 
 def triangulate(
     node_ids: Sequence[NodeId], adjacency: Sequence[set], cards: Sequence[int], table_cap: float
-) -> Triangulation:
+) -> tuple:
     """Greedy min-fill elimination, reading the cliques off as they form.
 
     ``adjacency[i]`` holds the neighbour positions of ``node_ids[i]``, whose
@@ -283,7 +265,6 @@ def triangulate(
     edges = sum(map(len, adjacency)) // 2
     left = n
     done = [False] * n
-    order = []
     holders = [[] for _ in range(n)]  # the earlier elimination cliques holding each node
     maximal = []
     if 2 * edges < n * (n - 1):  # not complete: the loop below runs and needs the keys
@@ -305,7 +286,6 @@ def triangulate(
             holders[u].append(clique)
             adj[u].discard(v)
         done[v] = True
-        order.append(v)
         left -= 1
         edges += f - len(ns)  # v's edges go, its f fill edges come
 
@@ -336,9 +316,8 @@ def triangulate(
         _check_cap(node_ids, clique, cards, table_cap)
         if not any(clique <= c for c in holders[rest[0]]):
             maximal.append(tuple(rest))
-        order.extend(rest)
     maximal.sort()
-    return Triangulation(elimination_order=tuple(order), cliques=tuple(maximal))
+    return tuple(maximal)
 
 
 def chordal_cliques(adjacency: Sequence[set]) -> Optional[tuple]:

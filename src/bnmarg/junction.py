@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ArgumentError, CapacityError, InternalConsistencyError, UnknownNodeError
 from .graphs import chordal_cliques, moral_graph, triangulate
-from .network import CategoricalBN
+from .network import CategoricalBN, require_integer
 
 DEFAULT_TABLE_CAP = 2**20
 # at most this many plans are kept, each for a scope of at most this many
@@ -115,25 +115,21 @@ class CliqueTree(NamedTuple):
         return tuple((i, j, tuple(nodes[u] for u in cliques[i] if u in cliques[j])) for i, j in self.plan.edges)
 
 
-def _spanning_tree(cliques: list[tuple]) -> list[tuple]:
-    """Maximum-sepset-weight spanning tree over the cliques (Kruskal).
+def _spanning_tree(holders: list[list], n: int) -> list[tuple]:
+    """Maximum-sepset-weight spanning tree over ``n`` cliques (Kruskal).
 
-    Only pairs that share a variable are scored, counted from a variable →
-    cliques index, and taken by decreasing weight, then by index pair.  What
-    that leaves disconnected is joined by empty sepsets: clique 0 to the
-    smallest clique of each other component, in ascending order, which is
-    the pair order Kruskal would take among zero-weight pairs.  So a
+    ``holders`` lists, for each variable, the cliques holding it in
+    ascending order.  Only pairs that share a variable are scored, counted
+    from that index, and taken by decreasing weight, then by index pair.
+    What that leaves disconnected is joined by empty sepsets: clique 0 to
+    the smallest clique of each other component, in ascending order, which
+    is the pair order Kruskal would take among zero-weight pairs.  So a
     disconnected moral graph yields a tree whose cross-component messages
     are scalars.
     """
-    n = len(cliques)
     if n < 3:  # one possible tree, whatever the weights
         return [(0, 1)] if n == 2 else []
-    holders = {}
-    for i, c in enumerate(cliques):
-        for v in c:
-            holders.setdefault(v, []).append(i)
-    shared = Counter(chain.from_iterable(combinations(h, 2) for h in holders.values() if len(h) > 1))
+    shared = Counter(chain.from_iterable(combinations(h, 2) for h in holders if len(h) > 1))
     cand = sorted([(-w, i, j) for (i, j), w in shared.items()])
     cand += [(0, 0, j) for j in range(1, n)]
     parent = list(range(n))
@@ -211,13 +207,13 @@ def _build_plan(scope: tuple, families: list, is_factor: list, cards: list, tabl
     adjacency = moral_graph(families)
     cliques = chordal_cliques(adjacency)
     if cliques is None or any(math.prod(map(cards.__getitem__, c)) > table_cap for c in cliques):
-        cliques = triangulate(scope, adjacency, cards, table_cap).cliques
+        cliques = triangulate(scope, adjacency, cards, table_cap)
     clique_sets = [set(c) for c in cliques]
     holders = [[] for _ in scope]  # the cliques holding each position, ascending
     for c, clique in enumerate(cliques):
         for u in clique:
             holders[u].append(c)
-    edges = tuple(_spanning_tree(cliques))
+    edges = tuple(_spanning_tree(holders, len(cliques)))
     placements = []
     for i, family in enumerate(families):
         if not is_factor[i]:
@@ -305,8 +301,11 @@ def build_junction_tree(
     as positions in the scope; the families key the plan cache and give the
     moral graph and each CPT's placement.  A scope the cache cannot key or
     refuses is planned without it, in its own names.  ``nodes`` and
-    ``factor_nodes`` may be any iterables; repeats count once.
+    ``factor_nodes`` may be any iterables; repeats count once.  A
+    ``table_cap`` that is not an integer raises ArgumentError; one below 2
+    refuses every clique.
     """
+    require_integer("table_cap", table_cap, ArgumentError)
     dag = bn.dag
     if nodes is None:
         scope = dag.node_ids

@@ -371,12 +371,15 @@ def gen_cpts(dag: Dag, categories: int, seed: int) -> CategoricalBN:
     ``rng.random((rows, categories))`` draw per table.  One division
     normalizes every row; the block is then made read-only and each node's
     table is a view of its rows, and every node shares one state-name tuple.
-    More than ``MAX_CPT_ENTRIES`` entries in all raise ParameterError before
-    anything is drawn.
+    More than ``MAX_CPT_ENTRIES`` entries in all, or a ``seed`` that is not
+    a non-negative integer, raise ParameterError before anything is drawn.
     """
     require_integer("categories", categories, ParameterError)
     if categories < 2:
         raise ParameterError("categories must be at least 2")
+    require_integer("seed", seed, ParameterError)
+    if seed < 0:
+        raise ParameterError("seed must be non-negative")
     categories = int(categories)
     ids = dag.node_ids
     cuts = list(accumulate((categories ** len(dag.parents(v)) for v in ids), initial=0))

@@ -356,6 +356,8 @@ def loopy_bp(parts: tuple, cfg: SamplerConfig) -> tuple:
     to the largest cardinality, so a round costs a few array operations per
     shape and per variable degree rather than one per message.
     """
+    if not parts:
+        return ()
     width = parts[0].width
     if any(p.width != width for p in parts):
         raise ArgumentError("the parts of one loopy-BP run must share one width")

@@ -596,13 +596,13 @@ def reference_build_plan(scope, families, is_factor, cards, table_cap):
     refuses an oversized one in its own words, then the package's spanning
     tree, each requested CPT in the smallest clique holding its family (the
     first among equals) and the collect schedule towards clique 0."""
-    cliques = triangulate(scope, moral_graph(families), cards, table_cap).cliques
+    cliques = triangulate(scope, moral_graph(families), cards, table_cap)
     clique_sets = [set(c) for c in cliques]
     holders = [[] for _ in scope]  # the cliques holding each position, ascending
     for c, clique in enumerate(cliques):
         for u in clique:
             holders[u].append(c)
-    edges = tuple(_spanning_tree(cliques))
+    edges = tuple(_spanning_tree(holders, len(cliques)))
     placements = []
     for i, family in enumerate(families):
         if not is_factor[i]:

@@ -192,7 +192,7 @@ def test_dag_construction_matches_reference_constructor():
         for ids, es in ((topo, edges), (topo, shuffled), (topo[::-1], edges), (permuted, shuffled)):
             got = Dag(ids, es)
             if ids is topo:
-                assert got._topo is got.node_ids and "_children" not in vars(got)
+                assert got._topo is got.node_ids and "_children" not in vars(got) and "edges" not in vars(got)
             assert dag_structure(got) == dag_structure(reference_dag(ids, es))
             v = ids[int(rng.integers(len(ids)))]
             bad = [("zz", v), (v, "zz"), (v, v)]
@@ -232,13 +232,11 @@ def test_moral_adjacency_families_are_cliques():
 
 
 def _triangulate(ids, adj):
-    """triangulate without a table cap, its elimination order and cliques by
-    name, and the chordal graph its cliques span, as neighbour positions."""
-    tri = triangulate(ids, adj, [2] * len(ids), math.inf)
-    order = tuple(ids[u] for u in tri.elimination_order)
-    cliques = [tuple(ids[u] for u in c) for c in tri.cliques]
+    """triangulate without a table cap, its cliques by name, and the chordal
+    graph they span, as neighbour positions."""
+    cliques = [tuple(ids[u] for u in c) for c in triangulate(ids, adj, [2] * len(ids), math.inf)]
     edges = [(c[i], c[j]) for c in cliques for i in range(len(c)) for j in range(i + 1, len(c))]
-    return order, cliques, adjacency(ids, edges)
+    return cliques, adjacency(ids, edges)
 
 
 def _edge_count(adj):
@@ -247,15 +245,14 @@ def _edge_count(adj):
 
 def test_triangulate_four_cycle():
     adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
-    order, _, chordal = _triangulate("ABCD", adj)
+    _, chordal = _triangulate("ABCD", adj)
     assert find_chordless_cycle(chordal) is None
     assert _edge_count(chordal) == 5  # exactly one chord added
-    assert sorted(order) == list("ABCD")
 
 
 def test_triangulate_keeps_chordal_input():
     adj = adjacency("ABCD", [("A", "B"), ("B", "C"), ("B", "D")])
-    _, _, chordal = _triangulate("ABCD", adj)
+    _, chordal = _triangulate("ABCD", adj)
     assert chordal == adj
 
 
@@ -265,7 +262,7 @@ def test_triangulate_random_graphs_chordal():
         n = int(rng.integers(4, 11))
         names = tuple(f"n{i}" for i in range(n))
         adj = adjacency(names, random_edges(rng, names, 0.35))
-        _, _, chordal = _triangulate(names, adj)
+        _, chordal = _triangulate(names, adj)
         assert all(ns <= cs for ns, cs in zip(adj, chordal))
         assert find_chordless_cycle(chordal) is None
 
@@ -274,8 +271,8 @@ def test_triangulate_matches_reference_min_fill():
     rng = np.random.default_rng(31)
     count = 0
     for ids, adj in oracle_graphs(rng):
-        order, cliques, _ = _triangulate(ids, adj)
-        assert (order, cliques) == reference_min_fill(ids, adj)
+        cliques, _ = _triangulate(ids, adj)
+        assert cliques == reference_min_fill(ids, adj)[1]
         count += 1
     assert count > 300
 
@@ -309,14 +306,14 @@ def test_chordal_cliques_match_min_fill_exactly_on_chordal_graphs():
     seen = {True: 0, False: 0}
     for ids, adj in oracle_graphs(rng):
         got = chordal_cliques(adj)
-        _, cliques, chordal = _triangulate(ids, adj)
+        cliques, chordal = _triangulate(ids, adj)
         assert (got is None) == (chordal != adj)
         if got is not None:
             assert [tuple(ids[u] for u in c) for c in got] == cliques
         seen[got is None] += 1
     for ids, adj in oracle_graphs(rng):  # the chordal completions of the same graphs
-        _, _, chordal = _triangulate(ids, adj)
-        assert chordal_cliques(chordal) == triangulate(ids, chordal, [2] * len(ids), math.inf).cliques
+        _, chordal = _triangulate(ids, adj)
+        assert chordal_cliques(chordal) == triangulate(ids, chordal, [2] * len(ids), math.inf)
     assert min(seen.values()) > 80, seen
 
 

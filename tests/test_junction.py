@@ -215,6 +215,19 @@ def test_capacity_error():
         build_junction_tree(bn, table_cap=16)
 
 
+def test_table_cap_must_be_an_integer():
+    # refused before planning, as SgsConfig refuses it; an integer below 2
+    # refuses every clique, as no node has fewer than two states
+    bn = rand_bn(np.random.default_rng(3), 4, 0.5)
+    for cap in ("x", None, True, 2.5, 16.0):
+        with pytest.raises(ArgumentError, match="table_cap must be an integer"):
+            build_junction_tree(bn, table_cap=cap)
+    for cap in (1, 0, -3):
+        with pytest.raises(CapacityError):
+            build_junction_tree(bn, table_cap=cap)
+    assert build_junction_tree(bn, table_cap=np.int64(2**10)).cliques == build_junction_tree(bn).cliques
+
+
 def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
     # the cap is checked on each elimination clique as it forms; it must
     # refuse exactly the scopes whose whole triangulation has a maximal clique
@@ -245,21 +258,31 @@ def test_capacity_error_exactly_when_a_maximal_clique_exceeds_the_cap():
     assert checked > 300
 
 
+def _holders(cliques, n):
+    """The cliques holding each of n positions, ascending, as the plan
+    builder lists them."""
+    holders = [[] for _ in range(n)]
+    for c, clique in enumerate(cliques):
+        for u in clique:
+            holders[u].append(c)
+    return holders
+
+
 def test_spanning_tree_matches_reference_kruskal():
     # pairs scored from the variable -> cliques index, then the zero-weight
     # joins, must give the tree that sorting every pair gives, edge for edge
     rng = np.random.default_rng(43)
     count = 0
     for ids, adj in oracle_graphs(rng):
-        cliques = triangulate(ids, adj, [2] * len(ids), math.inf).cliques
-        assert _spanning_tree(cliques) == reference_spanning_tree(cliques)
+        cliques = triangulate(ids, adj, [2] * len(ids), math.inf)
+        assert _spanning_tree(_holders(cliques, len(ids)), len(cliques)) == reference_spanning_tree(cliques)
         count += 1
     assert count > 300
     for n in (500, 1000):  # whole sparse networks: hundreds of cliques, several components
         dag = rand_dag(rng, n, 1.6 / (n - 1))
-        cliques = triangulate(dag.node_ids, moral_adjacency(dag, dag.node_ids), [2] * n, math.inf).cliques
+        cliques = triangulate(dag.node_ids, moral_adjacency(dag, dag.node_ids), [2] * n, math.inf)
         assert len(cliques) > n // 2
-        assert _spanning_tree(cliques) == reference_spanning_tree(cliques)
+        assert _spanning_tree(_holders(cliques, n), len(cliques)) == reference_spanning_tree(cliques)
 
 
 def test_cpt_placement_matches_a_scan_of_every_clique():

@@ -304,6 +304,18 @@ def test_gen_cpts_matches_per_node_draws():
                 assert t.tobytes() == want[v].tobytes(), (categories, k, v)
 
 
+def test_gen_cpts_seed_must_be_a_non_negative_integer():
+    # refused before anything is drawn, as GenSpec refuses its seed; a NumPy
+    # integer draws the tables its int draws
+    dag = Dag(("A", "B"), [("A", "B")])
+    for seed in (True, False, -1, 1.5, 3.0, "3", None):
+        with pytest.raises(ParameterError, match="seed"):
+            gen_cpts(dag, 2, seed)
+    want = gen_cpts(dag, 3, 3)
+    got = gen_cpts(dag, 3, np.int64(3))
+    assert all(got.cpts[v].tobytes() == want.cpts[v].tobytes() for v in dag.node_ids)
+
+
 def _clamped(bn, evidence):
     """Every field of ``clamp_factors``' stacks, as bytes where they are arrays."""
     cf = clamp_factors(bn, evidence)

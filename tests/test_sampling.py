@@ -263,6 +263,10 @@ def _stop_round(part, cfg):
     return next(r for r in range(1, cfg.lbp_iterations + 1) if beliefs(r) == last)
 
 
+def test_loopy_bp_of_no_parts_is_no_proposals():
+    assert loopy_bp((), SamplerConfig(sample_count=1)) == ()
+
+
 def test_loopy_bp_batch_equals_separate_calls():
     rng = np.random.default_rng(2025)
     parts = []

@@ -1,9 +1,11 @@
 """Static checks on the package source: no unused module-level import (an
 ``__init__.py`` re-exports names, so it is exempt), no private function,
-class or method that no module of the package reads, and no import of a
-package that pyproject.toml does not declare."""
+class or method that no module of the package reads, no import of a
+package that pyproject.toml does not declare, and no module global that the
+benchmark's span wrappers target gone missing beyond the known stale ones."""
 
 import ast
+import importlib.util
 import pathlib
 import re
 import sys
@@ -79,3 +81,23 @@ def test_every_import_is_declared():
                 continue
             bad += [f"{path}:{n.lineno}: {top} is imported but pyproject.toml does not declare it" for top in tops if top not in allowed]
     assert not bad, "\n".join(bad)
+
+
+def test_the_span_wrappers_miss_only_the_stale_targets():
+    # a refactor that drops or renames a global the benchmark wraps would zero
+    # its per-layer metric; only these four targets are known to be gone
+    stale = {"sampling.relevant_subgraph", "decompose.subset_boundaries", "decompose.moralize", "junction.moralize"}
+    name = "_bnmarg_bench_spans"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[name] = spans  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer(spans.SpanRecorder())
+        try:
+            tracer.install()
+        finally:
+            tracer.uninstall()
+    finally:
+        del sys.modules[name]
+    assert set(tracer.absent) <= stale, tracer.absent
